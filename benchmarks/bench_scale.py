@@ -37,17 +37,16 @@ Scenarios (deterministic seeds):
   two evaluated days): window-batched vs per-slot accounting with a
   day-ahead 24-slot-window policy, plus the ONLINE-REACTIVE policy's
   fast-path time.
-* ``epact_1slot_120`` — horizon-concatenated (super-batch) vs
-  per-window accounting on EPACT's 1-slot reallocation windows, the
-  degenerate case that turns window batching back into per-slot work.
-  The EPACT allocation stream is recorded once and replayed into both
+* ``epact_1slot_120`` — the one-window accounting kernel vs the
+  per-slot reference oracle (``window_batch=False``) on EPACT's 1-slot
+  reallocation windows, where every window is a single slot.  The
+  EPACT allocation stream is recorded once and replayed into both
   engines (:class:`ReplayPolicy`), so the scenario times the
-  accounting loop the super-batch is about, not the (identical)
-  allocator work.
+  accounting kernel, not the (identical) allocator work.
 * ``hybrid_120`` — the heterogeneous-fleet engine on the
-  ``hybrid-50/50`` NTC/conventional mix: super-batched per-(chunk,
-  model) accounting vs the per-pool per-slot reference, with the
-  fleet-aware EPACT allocation stream replayed into both engines.
+  ``hybrid-50/50`` NTC/conventional mix: per-(window, model) kernel
+  accounting vs the per-pool per-slot reference, with the fleet-aware
+  EPACT allocation stream replayed into both engines.
 * ``faults_120`` — the fault layer's zero-event overhead: the same
   replayed EPACT week with a zero-event ``FaultSchedule`` threaded
   through the engine vs no schedule at all.  The recorded
@@ -372,8 +371,8 @@ def bench_window_batch(results, jobs):
         )
 
 
-def bench_superbatch(results):
-    """Horizon-concatenated accounting on 1-slot windows (PR 4)."""
+def bench_epact_1slot(results):
+    """The accounting kernel vs the per-slot oracle on 1-slot windows."""
     dataset = default_dataset(n_vms=120, n_days=9, seed=2018)
     predictor = DayAheadPredictor(dataset)
     for day in range(7, dataset.n_days):
@@ -384,7 +383,7 @@ def bench_superbatch(results):
     # per-simulation setup cost, not the accounting loop under test.
     power = ntc_server_power_model()
 
-    def run(superbatch):
+    def run(window_batch):
         replay.rewind()
         sim = DataCenterSimulation(
             dataset,
@@ -392,21 +391,21 @@ def bench_superbatch(results):
             replay,
             power_model=power,
             max_servers=80,
-            superbatch=superbatch,
+            window_batch=window_batch,
         )
         return sum(r.energy_j for r in sim.run().records)
 
     # The warm-up pair records the allocation stream once and doubles
     # as the equivalence witness.
-    energy_super = run(True)
-    energy_window = run(False)
+    energy_kernel = run(True)
+    energy_slot = run(False)
     fast, seed = best_of_pair(
         lambda: run(True), lambda: run(False), 5
     )
     record(results, "epact_1slot_120", fast, seed)
-    rel = abs(energy_super - energy_window) / max(abs(energy_window), 1e-12)
+    rel = abs(energy_kernel - energy_slot) / max(abs(energy_slot), 1e-12)
     results["epact_1slot_120"]["energy_rel_diff"] = rel
-    print(f"    superbatch-vs-per-window energy rel diff: {rel:.2e}")
+    print(f"    kernel-vs-per-slot energy rel diff: {rel:.2e}")
 
 
 def bench_hybrid(results):
@@ -431,17 +430,17 @@ def bench_hybrid(results):
         return sum(r.energy_j for r in sim.run().records)
 
     # The warm-up pair records the allocation stream once and doubles
-    # as the equivalence witness (per-(chunk, model) super-batch vs the
+    # as the equivalence witness (per-(window, model) kernel vs the
     # per-pool per-slot reference).
-    energy_super = run(True)
+    energy_kernel = run(True)
     energy_slot = run(False)
     fast, seed = best_of_pair(
         lambda: run(True), lambda: run(False), 3
     )
     record(results, "hybrid_120", fast, seed)
-    rel = abs(energy_super - energy_slot) / max(abs(energy_slot), 1e-12)
+    rel = abs(energy_kernel - energy_slot) / max(abs(energy_slot), 1e-12)
     results["hybrid_120"]["energy_rel_diff"] = rel
-    print(f"    hybrid superbatch-vs-per-slot energy rel diff: {rel:.2e}")
+    print(f"    hybrid kernel-vs-per-slot energy rel diff: {rel:.2e}")
 
 
 def bench_faults(results):
@@ -974,8 +973,8 @@ def main():
     bench_simulation(results)
     print("window-batched engine / scenario layer:")
     bench_window_batch(results, args.jobs)
-    print("horizon-concatenated accounting:")
-    bench_superbatch(results)
+    print("accounting kernel on 1-slot windows:")
+    bench_epact_1slot(results)
     print("heterogeneous fleet:")
     bench_hybrid(results)
     print("fault layer (zero-event overhead):")

@@ -21,9 +21,9 @@ The package is organized by substrate (see DESIGN.md):
 * :mod:`repro.experiments` — one module per paper table/figure
 
 ``from repro import ...`` is the documented import path for the
-supported surface below (engines, configs, policies, runners, serve
-entry points); moved names keep working through deprecation-warning
-shims at their old locations.
+supported surface below (engines, configs, policies, runners, the
+serve config).  The service loop itself is ``repro.serve.serve``: a
+top-level ``serve`` name would shadow the ``repro.serve`` subpackage.
 
 Quick start::
 
@@ -87,7 +87,7 @@ from .power import (
     ntc_server_power_model,
 )
 from .serve import IncrementalDayAheadForecaster
-from .serve.service import ServeConfig, serve
+from .serve.service import ServeConfig
 from .traces import (
     ClusterTraceGenerator,
     GeneratorConfig,
@@ -149,7 +149,6 @@ __all__ = [
     "run_policies",
     "run_streaming_policies",
     "save_dataset",
-    "serve",
     "total_energy_savings_pct",
     "validate_reproduction",
 ]

@@ -1,11 +1,11 @@
 """Streaming cloud simulation: windowed decisions from degraded telemetry.
 
 :class:`StreamingCloudSimulation` turns the batch
-:class:`~repro.dcsim.cloud.CloudSimulation` into the windowed driver
-ROADMAP item 2 asks for: instead of planning from the pre-known trace
-week, every allocation window first *ingests* — each collector is
-polled once per elapsed slot (bounded retry/backoff,
-:func:`~repro.cloud.telemetry.poll_with_retry`), deliveries pass the
+:class:`~repro.dcsim.cloud.CloudSimulation` into a windowed loop:
+instead of planning from the pre-known trace week, every allocation
+window first *ingests* — each collector is polled once per elapsed
+slot (bounded retry/backoff,
+:func:`~repro.serve.adapters.poll_with_retry`), deliveries pass the
 imputation/quality stage (:class:`~repro.cloud.telemetry.TelemetryIngest`)
 — and then *decides* from whatever rung of the forecast-staleness
 fallback ladder (:class:`~repro.cloud.telemetry.ForecastLadder`) the
@@ -28,15 +28,15 @@ bit-identical to the batch engine's, which is the equivalence the
 telemetry test-suite asserts (and a ``telemetry=None`` run uses the
 caller's predictor directly, exercising only the windowed driver).
 
-The windowed driver also brings **checkpoint/resume**: accounting is
-eager (``superbatch`` is forced off), so at any window boundary the
-complete run state — records so far, policy, previous placement,
-collector cursors, ingest buffers, ladder cache — is a picklable
-snapshot.  A run resumed from a snapshot is bit-identical to the
-uninterrupted run, because nothing downstream of the snapshot consults
-a clock or an unseeded RNG.
+The windowed loop also brings **checkpoint/resume**: the engine's
+window loop accounts every window as soon as it is planned, so at any
+window boundary the complete run state — records so far, policy,
+previous placement, collector cursors, ingest buffers, ladder cache —
+is a picklable snapshot.  A run resumed from a snapshot is
+bit-identical to the uninterrupted run, because nothing downstream of
+the snapshot consults a clock or an unseeded RNG.
 
-Two service-mode extensions (PR 10) ride on the same loop:
+Two service-mode extensions ride on the same loop:
 
 * **live collectors** — ``collectors=`` accepts any sequence of
   :class:`~repro.serve.adapters.CollectorAdapter` implementations
@@ -48,9 +48,13 @@ Two service-mode extensions (PR 10) ride on the same loop:
   which refreshes the Hannan-Rissanen fit day-over-day instead of
   re-fitting from scratch (full re-fit kept callable as the oracle).
 
-:meth:`StreamingCloudSimulation.windows` exposes the loop one decision
-at a time for operator front ends (``repro.serve.service``); ``run()``
-simply drains it.
+The class specialises the engine's one window loop
+(:meth:`~repro.dcsim.engine.DataCenterSimulation._windows`) through its
+hooks only: ingest at window open, the decision ladder and blind-freeze
+in ``_decide``, checkpoints at window close.
+:meth:`StreamingCloudSimulation.windows` exposes the loop one
+:class:`WindowDecision` at a time for operator front ends
+(``repro.serve.service``); ``run()`` simply drains it.
 """
 
 from __future__ import annotations
@@ -58,12 +62,11 @@ from __future__ import annotations
 import copy
 import os
 import pickle
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..core.online import OnlinePolicy
 from ..core.types import Allocation, AllocationPolicy, ServerPlan
 from ..errors import ConfigurationError
 from ..serve.adapters import CollectorAdapter, poll_with_retry
@@ -72,7 +75,7 @@ from ..traces.dataset import TraceDataset
 from ..traces.lifecycle import LifecycleSchedule
 from ..units import SAMPLES_PER_SLOT, SLOTS_PER_DAY
 from ..dcsim.cloud import CloudSimulation
-from ..dcsim.engine import count_migrations
+from ..dcsim.engine import _LoopState, _Window
 from ..dcsim.metrics import SimulationResult, SlotRecord
 from .telemetry import (
     RUNG_STALE,
@@ -133,6 +136,28 @@ class WindowDecision:
     energy_j: float
     violations: int
     checkpointed: bool
+
+
+@dataclass
+class _StreamWindow(_Window):
+    """A window plus the telemetry facts its decision was made from.
+
+    Attributes:
+        down: collectors dark at each slot of the window.
+        rung: the ladder rung planned from (``None`` without telemetry
+            or for an empty cloud).
+        blind: the window froze the previous placement.
+        stale: the window planned from an aged forecast.
+        imputed: imputed samples in the last observed slot.
+        checkpointed: a run snapshot was taken at the window's end.
+    """
+
+    down: List[int] = field(default_factory=list)
+    rung: Optional[str] = None
+    blind: bool = False
+    stale: bool = False
+    imputed: int = 0
+    checkpointed: bool = False
 
 
 class _LadderPredictor:
@@ -232,13 +257,11 @@ class StreamingCloudSimulation(CloudSimulation):
             or ``collectors=``).
         refit_every_days: incremental mode's epoch length — a full
             oracle re-fit at least this often (see the forecaster).
-        **kwargs: forwarded to the batch engine.  ``superbatch`` is
-            forced off — streaming accounts windows eagerly so a
-            checkpoint never holds deferred accounting (the accounting
-            tiers are bit-identical, so results do not change).
+        **kwargs: forwarded to the batch engine.
     """
 
     _ENGINE_NAME = "streaming"
+    _window_type = _StreamWindow
 
     def __init__(
         self,
@@ -261,7 +284,6 @@ class StreamingCloudSimulation(CloudSimulation):
         refit_every_days: int = 7,
         **kwargs,
     ):
-        kwargs["superbatch"] = False
         super().__init__(dataset, predictor, policy, schedule, **kwargs)
         if blind_after_slots < 1:
             raise ConfigurationError(
@@ -307,12 +329,11 @@ class StreamingCloudSimulation(CloudSimulation):
         #: checkpoint boundary); pass one to :meth:`restore`.
         self.checkpoints: List[dict] = []
         self._resume_state: Optional[dict] = None
-        self._result: Optional[SimulationResult] = None
+        self._next_ckpt = 0
 
         self._collectors: List[CollectorAdapter] = []
         self._ingest: Optional[TelemetryIngest] = None
         self._ladder: Optional[ForecastLadder] = None
-        self._window_rung: Optional[str] = None
         if telemetry is None and collectors is None:
             self._ingested_until = 0
             return
@@ -389,14 +410,14 @@ class StreamingCloudSimulation(CloudSimulation):
                     self._ingest.ingest(batch)
         self._ingested_until = max(self._ingested_until, slot)
 
-    def _ladder_begin(self, slot: int) -> None:
-        """Freeze the window's persistence patterns and day rung."""
+    def _ladder_begin(self, slot: int) -> str:
+        """Freeze the window's persistence patterns; return its rung."""
         cpu_vals, mem_vals = self._ingest.last_values(
             slot * SAMPLES_PER_SLOT
         )
         self._predictor.set_persist(cpu_vals, mem_vals)
         rung, _, _ = self._ladder.day_decision(slot // SLOTS_PER_DAY)
-        self._window_rung = rung
+        return rung
 
     def _last_observed(self, slot: int, active: np.ndarray):
         """The reactive signal as *delivered*: imputed where degraded."""
@@ -493,27 +514,21 @@ class StreamingCloudSimulation(CloudSimulation):
                 source = pickle.load(fh)
         self._resume_state = source
 
-    def _snapshot(
-        self,
-        next_slot: int,
-        records: List[SlotRecord],
-        prev_active,
-        prev_alloc,
-        prev_ids,
-        prev_map,
-        prev_pools,
-        prev_fw,
-    ) -> dict:
+    def _snapshot(self, state: _LoopState) -> dict:
         stream = self._ingest is not None
+
+        def copied(arr):
+            return None if arr is None else arr.copy()
+
         return {
-            "next_slot": int(next_slot),
-            "records": list(records),
-            "prev_active": None if prev_active is None else prev_active.copy(),
-            "prev_alloc": copy.deepcopy(prev_alloc),
-            "prev_ids": None if prev_ids is None else prev_ids.copy(),
-            "prev_map": None if prev_map is None else prev_map.copy(),
-            "prev_pools": None if prev_pools is None else prev_pools.copy(),
-            "prev_fw": prev_fw,
+            "next_slot": int(state.slot),
+            "records": list(state.records),
+            "prev_active": copied(state.prev_active),
+            "prev_alloc": copy.deepcopy(state.prev_alloc),
+            "prev_ids": copied(state.prev_ids),
+            "prev_map": copied(state.prev_map),
+            "prev_pools": copied(state.prev_pools),
+            "prev_fw": state.prev_fw,
             "policy": copy.deepcopy(self._policy),
             "ingested_until": self._ingested_until,
             "collectors": (
@@ -546,6 +561,123 @@ class StreamingCloudSimulation(CloudSimulation):
             self._ingest.restore(state["ingest"])
             self._ladder.restore(state["ladder"])
 
+    # -- window-loop hooks ---------------------------------------------
+
+    def _loop_start(self) -> _LoopState:
+        """A fresh start, or the state of the armed snapshot."""
+        resume = self._resume_state
+        self._resume_state = None
+        self.checkpoints = []
+        if resume is None:
+            state = super()._loop_start()
+        else:
+            self._apply_state(resume)
+            state = _LoopState(
+                slot=int(resume["next_slot"]),
+                records=list(resume["records"]),
+                prev_active=resume["prev_active"],
+                prev_alloc=copy.deepcopy(resume["prev_alloc"]),
+                prev_ids=resume["prev_ids"],
+                prev_map=resume["prev_map"],
+                prev_pools=resume["prev_pools"],
+                prev_fw=resume["prev_fw"],
+            )
+        if self._ckpt_every is not None:
+            self._next_ckpt = self._next_checkpoint(state.slot)
+        return state
+
+    def _next_checkpoint(self, slot: int) -> int:
+        """First checkpoint boundary strictly after ``slot``."""
+        every = self._ckpt_every
+        return self._start_slot + every * (
+            (slot - self._start_slot) // every + 1
+        )
+
+    def _open_window(self, window, state) -> None:
+        """Membership, then ingest every slot up to the window start."""
+        super()._open_window(window, state)
+        if self._ingest is not None:
+            self._ingest_to(window.slot)
+        if self._telemetry is not None:
+            window.down = [
+                self._telemetry.down_collectors(s)
+                for s in range(window.slot, window.slot + window.n_window)
+            ]
+        else:
+            # A live feed has no fault schedule to consult; dropout
+            # shows up as timeouts (poll_retry events), not here.
+            window.down = [0] * window.n_window
+
+    def _decide(self, window, state) -> Allocation:
+        """Consult the ladder; freeze the placement when flying blind."""
+        if self._ingest is not None:
+            slot = window.slot
+            rung = self._ladder_begin(slot)
+            window.stale = rung == RUNG_STALE
+            if slot >= 1:
+                window.imputed = self._ingest.missing_count(
+                    window.active,
+                    (slot - 1) * SAMPLES_PER_SLOT,
+                    slot * SAMPLES_PER_SLOT,
+                )
+            # Reactive-only rung: the stream has been dark for longer
+            # than the blind budget and there is a placement to freeze.
+            window.blind = (
+                state.prev_alloc is not None
+                and slot - self._ingest.newest_delivery_slot
+                > self._blind_after
+            )
+            window.rung = "reactive-only" if window.blind else rung
+            if self._tracer.enabled:
+                self._tracer.emit(
+                    "telemetry_window",
+                    slot=slot,
+                    rung=window.rung,
+                    imputed_samples=window.imputed,
+                    collectors_down=window.down[0],
+                    blind=window.blind,
+                )
+        if window.blind:
+            window.stale = False
+            return self._blind_allocation(
+                state.prev_alloc, state.prev_active, window.active
+            )
+        return super()._decide(window, state)
+
+    def _annotate(self, window, records: List[SlotRecord]) -> List[SlotRecord]:
+        n_active_vms = int(window.active.size)
+        return [
+            replace(
+                rec,
+                n_active_vms=n_active_vms,
+                arrivals=window.arrivals if i == 0 else 0,
+                departures=window.departures if i == 0 else 0,
+                collectors_down=window.down[i],
+                imputed_samples=window.imputed if i == 0 else 0,
+                stale_forecast=1 if window.stale and i == 0 else 0,
+                blind_window=1 if window.blind and i == 0 else 0,
+            )
+            for i, rec in enumerate(records)
+        ]
+
+    def _close_window(self, window, state) -> None:
+        """Snapshot the run at the first boundary past each cadence step."""
+        if self._ckpt_every is None or state.slot < self._next_ckpt:
+            return
+        snapshot = self._snapshot(state)
+        self.checkpoints.append(snapshot)
+        window.checkpointed = True
+        if self._ckpt_path is not None:
+            self._write_checkpoint(snapshot)
+        if self._tracer.enabled:
+            self._tracer.emit(
+                "checkpoint",
+                slot=state.slot,
+                n_records=len(state.records),
+                persisted=self._ckpt_path is not None,
+            )
+        self._next_ckpt = self._next_checkpoint(state.slot)
+
     # -- the windowed driver -------------------------------------------
 
     @property
@@ -562,12 +694,6 @@ class StreamingCloudSimulation(CloudSimulation):
             )
         return self._result
 
-    def run(self) -> SimulationResult:
-        """Stream the horizon: ingest, decide, account, checkpoint."""
-        for _ in self.windows():
-            pass
-        return self.result
-
     def windows(self) -> Iterator[WindowDecision]:
         """Stream the horizon one allocation window at a time.
 
@@ -578,275 +704,27 @@ class StreamingCloudSimulation(CloudSimulation):
         generator is exhausted the full :class:`SimulationResult` is
         available on :attr:`result`.
         """
-        stream = self._ingest is not None
-        resume = self._resume_state
-        self._resume_state = None
-        self.checkpoints = []
-        self._result = None
-        if resume is not None:
-            self._apply_state(resume)
-            records: List[SlotRecord] = list(resume["records"])
-            slot = int(resume["next_slot"])
-            prev_active = resume["prev_active"]
-            prev_alloc = copy.deepcopy(resume["prev_alloc"])
-            prev_ids = resume["prev_ids"]
-            prev_map = resume["prev_map"]
-            prev_pools = resume["prev_pools"]
-            prev_fw = resume["prev_fw"]
-        else:
-            if isinstance(self._policy, OnlinePolicy):
-                self._policy.reset()
-            records = []
-            slot = self._start_slot
-            prev_active = prev_alloc = None
-            prev_ids = prev_map = prev_pools = prev_fw = None
-
-        self._trace_run_start()
-        period = max(1, int(self._policy.reallocation_period_slots))
-        sched = self._schedule
-        end = self._start_slot + self._n_slots
-        if self._ckpt_every is not None:
-            every = self._ckpt_every
-            next_ckpt = (
-                self._start_slot
-                + every * ((slot - self._start_slot) // every + 1)
-            )
-        while slot < end:
-            active = sched.active_ids(slot)
-            n_window = min(
-                period, end - slot, max(1, sched.next_change(slot) - slot)
-            )
-            fw = None
-            if self._faults is not None:
-                n_window = min(
-                    n_window,
-                    max(1, self._faults.next_change(slot) - slot),
-                )
-                fw = self._fault_window(slot)
-            if stream:
-                self._ingest_to(slot)
-            arrivals = departures = 0
-            if prev_ids is not None:
-                arrivals = int(
-                    np.setdiff1d(active, prev_ids, assume_unique=True).size
-                )
-                departures = int(
-                    np.setdiff1d(prev_ids, active, assume_unique=True).size
-                )
-
-            blind = False
-            imputed = 0
-            stale = False
-            if self._telemetry is not None:
-                down = [
-                    self._telemetry.down_collectors(s)
-                    for s in range(slot, slot + n_window)
-                ]
-            else:
-                # A live feed has no fault schedule to consult; dropout
-                # shows up as timeouts (poll_retry events), not here.
-                down = [0] * n_window
-
-            if active.size == 0:
-                # Empty cloud: every server off, nothing to place.
-                window_records = [
-                    SlotRecord(
-                        slot_index=s,
-                        case="",
-                        n_active_servers=0,
-                        violations=0,
-                        forced_placements=0,
-                        energy_j=0.0,
-                        mean_freq_ghz=0.0,
-                        f_opt_ghz=0.0,
-                        n_failed_servers=fw.n_failed if fw else 0,
-                    )
-                    for s in range(slot, slot + n_window)
-                ]
-                n_active_vms = 0
-                migrations = 0
-                case = ""
-                active_servers = forced = 0
-                prev_ids = active
-                prev_map = np.empty(0, dtype=int)
-                prev_pools = None
-                prev_active = active
-                prev_alloc = None
-            else:
-                if stream:
-                    self._ladder_begin(slot)
-                    stale = self._window_rung == RUNG_STALE
-                    if slot >= 1:
-                        imputed = self._ingest.missing_count(
-                            active,
-                            (slot - 1) * SAMPLES_PER_SLOT,
-                            slot * SAMPLES_PER_SLOT,
-                        )
-                    # Reactive-only rung: the stream has been dark for
-                    # longer than the blind budget and there is a
-                    # placement to freeze.
-                    blind = (
-                        prev_alloc is not None
-                        and slot - self._ingest.newest_delivery_slot
-                        > self._blind_after
-                    )
-                scale = sched.scale_at(slot)
-                scale_loc = (
-                    None
-                    if scale is None
-                    else (scale[0][active], scale[1][active])
-                )
-                if stream and self._tracer.enabled:
-                    self._tracer.emit(
-                        "telemetry_window",
-                        slot=slot,
-                        rung=(
-                            "reactive-only" if blind else self._window_rung
-                        ),
-                        imputed_samples=imputed,
-                        collectors_down=down[0],
-                        blind=blind,
-                    )
-                if blind:
-                    allocation = self._blind_allocation(
-                        prev_alloc, prev_active, active
-                    )
-                    stale = False
-                else:
-                    ctx = self._cloud_context(
-                        slot, n_window, active, scale_loc, fw
-                    )
-                    with self._metrics.phase("policy"):
-                        allocation = self._policy.allocate(ctx)
-                with self._metrics.phase("allocate"):
-                    acct = self._prepare_allocation(
-                        allocation,
-                        vm_rows=active,
-                        scale=scale_loc,
-                        fault=fw,
-                        fault_boundary=fw != prev_fw,
-                    )
-                migrations = 0
-                if prev_ids is not None and prev_ids.size:
-                    common, ia, ib = np.intersect1d(
-                        prev_ids,
-                        acct.vm_rows,
-                        assume_unique=True,
-                        return_indices=True,
-                    )
-                    if common.size:
-                        migrations = count_migrations(
-                            prev_map[ia],
-                            acct.vm2srv[ib],
-                            previous_pools=prev_pools,
-                            new_pools=acct.pool_idx,
-                        )
-                self._trace_window(
-                    slot,
-                    n_window,
-                    allocation,
-                    acct,
-                    migrations,
-                    n_active_vms=int(active.size),
-                    arrivals=arrivals,
-                    departures=departures,
-                )
-                with self._metrics.phase("account"):
-                    if self._window_batch:
-                        window_records = self._account_window(
-                            slot, n_window, allocation, acct, migrations
-                        )
-                    else:
-                        window_records = [
-                            self._account_slot(
-                                s,
-                                allocation,
-                                acct,
-                                migrations if s == slot else 0,
-                            )
-                            for s in range(slot, slot + n_window)
-                        ]
-                n_active_vms = int(active.size)
-                case = allocation.case
-                active_servers = window_records[0].n_active_servers
-                forced = window_records[0].forced_placements
-                prev_ids = acct.vm_rows
-                prev_map = acct.vm2srv
-                prev_pools = acct.pool_idx
-                prev_active = active
-                prev_alloc = allocation
-            records.extend(
-                replace(
-                    rec,
-                    n_active_vms=n_active_vms,
-                    arrivals=arrivals if i == 0 else 0,
-                    departures=departures if i == 0 else 0,
-                    collectors_down=down[i],
-                    imputed_samples=imputed if i == 0 else 0,
-                    stale_forecast=1 if stale and i == 0 else 0,
-                    blind_window=1 if blind and i == 0 else 0,
-                )
-                for i, rec in enumerate(window_records)
-            )
-            if fw != prev_fw:
-                self._trace_fault_transition(slot, fw)
-            prev_fw = fw
-            window_start = slot
-            slot += n_window
-            checkpointed = False
-            if self._ckpt_every is not None and slot >= next_ckpt:
-                state = self._snapshot(
-                    slot,
-                    records,
-                    prev_active,
-                    prev_alloc,
-                    prev_ids,
-                    prev_map,
-                    prev_pools,
-                    prev_fw,
-                )
-                self.checkpoints.append(state)
-                checkpointed = True
-                if self._ckpt_path is not None:
-                    self._write_checkpoint(state)
-                if self._tracer.enabled:
-                    self._tracer.emit(
-                        "checkpoint",
-                        slot=slot,
-                        n_records=len(records),
-                        persisted=self._ckpt_path is not None,
-                    )
-                next_ckpt = (
-                    self._start_slot
-                    + every * ((slot - self._start_slot) // every + 1)
-                )
+        for window in self._windows():
+            first = window.records[0]
             yield WindowDecision(
-                slot=window_start,
-                n_window=n_window,
-                case=case,
-                rung=(
-                    ("reactive-only" if blind else self._window_rung)
-                    if stream and n_active_vms
-                    else None
-                ),
-                blind=blind,
-                stale=stale,
-                n_active_vms=n_active_vms,
-                arrivals=arrivals,
-                departures=departures,
-                migrations=migrations,
-                active_servers=active_servers,
-                forced_placements=forced,
-                collectors_down=down[0],
-                imputed_samples=imputed,
-                energy_j=float(sum(r.energy_j for r in window_records)),
-                violations=int(sum(r.violations for r in window_records)),
-                checkpointed=checkpointed,
+                slot=window.slot,
+                n_window=window.n_window,
+                case=first.case,
+                rung=window.rung,
+                blind=window.blind,
+                stale=window.stale,
+                n_active_vms=int(window.active.size),
+                arrivals=window.arrivals,
+                departures=window.departures,
+                migrations=window.migrations,
+                active_servers=first.n_active_servers,
+                forced_placements=first.forced_placements,
+                collectors_down=window.down[0],
+                imputed_samples=window.imputed,
+                energy_j=float(sum(r.energy_j for r in window.records)),
+                violations=int(sum(r.violations for r in window.records)),
+                checkpointed=window.checkpointed,
             )
-        result = SimulationResult(policy_name=self._policy.name)
-        result.records.extend(records)
-        self._result = result
-        self._trace_run_end(result)
 
 
 def _run_one_streaming_policy(

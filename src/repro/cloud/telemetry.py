@@ -23,7 +23,7 @@ and go entirely dark while a collector restarts.  This module provides
   pioneered — ``collector_id`` / ``poll`` / ``state`` / ``restore`` —
   is now :class:`repro.serve.adapters.CollectorAdapter`, home of the
   live (non-replay) adapters and of ``TelemetryBatch`` /
-  ``poll_with_retry`` (deprecation shims here re-export both);
+  ``poll_with_retry``;
 * :class:`TelemetryIngest` — the imputation/quality stage: delivered
   samples are validated (finite, within [0, 100]) into observation
   buffers; reads fill gaps by last-observation-carried-forward at
@@ -50,7 +50,6 @@ suite asserts bit-identity against runs without the telemetry layer.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -61,28 +60,6 @@ from ..forecast import DayAheadPredictor
 from ..serve.adapters import TelemetryBatch as _TelemetryBatch
 from ..traces.dataset import TraceDataset
 from ..units import SAMPLES_PER_DAY, SAMPLES_PER_SLOT, SLOTS_PER_DAY
-
-#: Names that moved to :mod:`repro.serve.adapters` when the collector
-#: protocol grew live (non-replay) implementations; module
-#: ``__getattr__`` below keeps the old import path working with a
-#: :class:`DeprecationWarning`.
-_MOVED_TO_SERVE = ("TelemetryBatch", "poll_with_retry")
-
-
-def __getattr__(name: str):
-    if name in _MOVED_TO_SERVE:
-        warnings.warn(
-            f"repro.cloud.telemetry.{name} moved to repro.serve.adapters"
-            f" — update the import; this shim will be removed",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        from ..serve import adapters
-
-        return getattr(adapters, name)
-    raise AttributeError(
-        f"module {__name__!r} has no attribute {name!r}"
-    )
 
 #: (collector_id, start_slot, end_slot) — collector down for slots
 #: [start, end); polls during the window time out.

@@ -111,40 +111,6 @@ class DvfsGovernor:
             self._demand_indices(util), floor_idx[None, :, None]
         )
 
-    def opp_indices_horizon(
-        self,
-        cpu_util_pct: np.ndarray,
-        floor_ghz: np.ndarray,
-    ) -> np.ndarray:
-        """Chosen OPP index per (slot, server, sample) with per-slot floors.
-
-        The horizon-concatenated engine stacks slots from *different*
-        allocations, whose server counts and QoS floors differ, into one
-        padded tensor; floors therefore arrive per (slot, server).
-        Elementwise identical to :meth:`opp_indices` applied slot by
-        slot with each slot's own floor vector.
-
-        Args:
-            cpu_util_pct: real aggregate utilization, shape
-                ``(n_slots, n_servers, n_samples)``.
-            floor_ghz: per-(slot, server) QoS frequency floor, shape
-                ``(n_slots, n_servers)``.
-        """
-        util = np.asarray(cpu_util_pct, dtype=float)
-        if util.ndim != 3:
-            raise DomainError(
-                "cpu_util_pct must be 3-D (slots, servers, samples)"
-            )
-        floors = np.asarray(floor_ghz, dtype=float)
-        if floors.shape != util.shape[:2]:
-            raise DomainError(
-                "floor_ghz must have one entry per (slot, server)"
-            )
-        floor_idx = self.floor_indices(floors)
-        return np.maximum(
-            self._demand_indices(util), floor_idx[:, :, None]
-        )
-
     def fixed_indices(
         self, freq_ghz: float, shape: tuple[int, int]
     ) -> np.ndarray:

@@ -16,7 +16,6 @@ from .cloud import CloudSimulation, run_cloud_policies
 from .config import SimulationConfig, StreamingConfig
 from .engine import (
     DataCenterSimulation,
-    MigrationCounter,
     count_migrations,
     run_policies,
     shared_predictions,
@@ -46,7 +45,6 @@ from ..shard.geo import run_geo_policies  # noqa: E402
 __all__ = [
     "CloudSimulation",
     "DataCenterSimulation",
-    "MigrationCounter",
     "SimulationConfig",
     "SimulationResult",
     "StreamingConfig",

@@ -12,9 +12,10 @@ where VMs arrive, resize and depart mid-horizon (see
   slot's observed utilization for reactive detectors), so the paper's
   day-ahead policies and the stateful online policies run head-to-head
   on identical information;
-* accounting reuses the engine's window-batched bincount scatter with
-  the membership rows as the scatter's VM set — bit-identical to the
-  per-slot reference (``window_batch=False``), which stays the oracle;
+* the engine's one window loop and accounting kernel run unchanged,
+  with the membership rows as the scatter's VM set — bit-identical to
+  the per-slot reference (``window_batch=False``), which stays the
+  oracle;
 * migrations are counted only over VMs present on *both* sides of a
   boundary (arrivals and departures are not migrations) and can be
   charged via ``migration_energy_j`` as in the base engine.
@@ -27,23 +28,18 @@ equivalence the cloud test-suite asserts.
 
 from __future__ import annotations
 
-from dataclasses import replace
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable
 
 import numpy as np
 
-from ..core.online import CloudAllocationContext, OnlinePolicy
-from ..core.types import AllocationPolicy
+from ..core.online import CloudAllocationContext
+from ..core.types import Allocation, AllocationPolicy
 from ..errors import ConfigurationError
 from ..traces.dataset import TraceDataset
 from ..traces.lifecycle import LifecycleSchedule
 from ..units import SAMPLES_PER_SLOT
-from .engine import (
-    DataCenterSimulation,
-    _WindowTask,
-    count_migrations,
-)
-from .metrics import SimulationResult, SlotRecord
+from .engine import DataCenterSimulation
+from .metrics import SimulationResult
 
 
 class CloudSimulation(DataCenterSimulation):
@@ -86,179 +82,43 @@ class CloudSimulation(DataCenterSimulation):
             )
         self._schedule = schedule
 
-    def run(self) -> SimulationResult:
-        """Simulate the horizon with the time-varying active set.
+    # -- window-loop hooks ------------------------------------------------
 
-        With ``superbatch`` (the default) the non-empty windows'
-        accounting is deferred into the engine's horizon-concatenated
-        super-batches — per-window membership rows and resize scales
-        feed the same padded scatter — and the per-window churn
-        metadata (active VMs, arrivals, departures) is stitched back
-        onto the records in horizon order afterwards.
+    def _open_window(self, window, state) -> None:
+        """The window's membership: active VMs, resizes, churn counts.
+
+        The window is cut short at the next membership/resize change.
+        Arrivals and departures are counted against the previously
+        *placed* VMs.
         """
-        if isinstance(self._policy, OnlinePolicy):
-            self._policy.reset()
-        result = SimulationResult(policy_name=self._policy.name)
-        self._trace_run_start()
-        period = max(1, int(self._policy.reallocation_period_slots))
         sched = self._schedule
-        prev_ids: Optional[np.ndarray] = None
-        prev_map: Optional[np.ndarray] = None
-        prev_pools: Optional[np.ndarray] = None
-        prev_fw = None
-        # Per window: (n_active_vms, arrivals, departures, records);
-        # ``records is None`` marks a window deferred into ``tasks``.
-        windows: List[tuple] = []
-        tasks: List[_WindowTask] = []
-        slot = self._start_slot
-        end = self._start_slot + self._n_slots
-        while slot < end:
-            active = sched.active_ids(slot)
-            n_window = min(
-                period, end - slot, max(1, sched.next_change(slot) - slot)
+        slot = window.slot
+        active = sched.active_ids(slot)
+        window.active = active
+        window.n_window = min(
+            window.n_window, max(1, sched.next_change(slot) - slot)
+        )
+        scale = sched.scale_at(slot)
+        if scale is not None:
+            window.scale = (scale[0][active], scale[1][active])
+        if state.prev_ids is not None:
+            window.arrivals = int(
+                np.setdiff1d(active, state.prev_ids, assume_unique=True).size
             )
-            fw = None
-            if self._faults is not None:
-                n_window = min(
-                    n_window,
-                    max(1, self._faults.next_change(slot) - slot),
-                )
-                fw = self._fault_window(slot)
-            arrivals = departures = 0
-            if prev_ids is not None:
-                arrivals = int(
-                    np.setdiff1d(active, prev_ids, assume_unique=True).size
-                )
-                departures = int(
-                    np.setdiff1d(prev_ids, active, assume_unique=True).size
-                )
+            window.departures = int(
+                np.setdiff1d(state.prev_ids, active, assume_unique=True).size
+            )
 
-            if active.size == 0:
-                # Empty cloud: every server off, nothing to place.
-                records = [
-                    SlotRecord(
-                        slot_index=s,
-                        case="",
-                        n_active_servers=0,
-                        violations=0,
-                        forced_placements=0,
-                        energy_j=0.0,
-                        mean_freq_ghz=0.0,
-                        f_opt_ghz=0.0,
-                        n_failed_servers=fw.n_failed if fw else 0,
-                    )
-                    for s in range(slot, slot + n_window)
-                ]
-                windows.append((0, arrivals, departures, records))
-                prev_ids = active
-                prev_map = np.empty(0, dtype=int)
-                prev_pools = None
-            else:
-                scale = sched.scale_at(slot)
-                scale_loc = (
-                    None
-                    if scale is None
-                    else (scale[0][active], scale[1][active])
-                )
-                ctx = self._cloud_context(
-                    slot, n_window, active, scale_loc, fw
-                )
-                with self._metrics.phase("policy"):
-                    allocation = self._policy.allocate(ctx)
-                with self._metrics.phase("allocate"):
-                    acct = self._prepare_allocation(
-                        allocation,
-                        vm_rows=active,
-                        scale=scale_loc,
-                        fault=fw,
-                        fault_boundary=fw != prev_fw,
-                    )
-                migrations = 0
-                if prev_ids is not None and prev_ids.size:
-                    # Only VMs present on both sides of the boundary can
-                    # migrate; the membership change invalidates any
-                    # cached sort, so the stateless counter is used.
-                    # ``acct.vm_rows`` (not ``active``): VMs shed this
-                    # window have no server row in ``acct.vm2srv``.
-                    common, ia, ib = np.intersect1d(
-                        prev_ids,
-                        acct.vm_rows,
-                        assume_unique=True,
-                        return_indices=True,
-                    )
-                    if common.size:
-                        # Pool indices restrict matching to same-pool
-                        # server pairs on heterogeneous fleets (a VM
-                        # block landing on another platform migrated).
-                        migrations = count_migrations(
-                            prev_map[ia],
-                            acct.vm2srv[ib],
-                            previous_pools=prev_pools,
-                            new_pools=acct.pool_idx,
-                        )
-                self._trace_window(
-                    slot,
-                    n_window,
-                    allocation,
-                    acct,
-                    migrations,
-                    n_active_vms=int(active.size),
-                    arrivals=arrivals,
-                    departures=departures,
-                )
-                if self._superbatch:
-                    tasks.append(
-                        _WindowTask(
-                            slot, n_window, allocation, acct, migrations
-                        )
-                    )
-                    records = None
-                elif self._window_batch:
-                    with self._metrics.phase("account"):
-                        records = self._account_window(
-                            slot, n_window, allocation, acct, migrations
-                        )
-                else:
-                    with self._metrics.phase("account"):
-                        records = [
-                            self._account_slot(
-                                s,
-                                allocation,
-                                acct,
-                                migrations if s == slot else 0,
-                            )
-                            for s in range(slot, slot + n_window)
-                        ]
-                windows.append(
-                    (int(active.size), arrivals, departures, records)
-                )
-                # Shed VMs are excluded from acct.vm_rows (== active
-                # when nothing was shed), so migration counting at the
-                # next boundary only sees actually-placed VMs.
-                prev_ids = acct.vm_rows
-                prev_map = acct.vm2srv
-                prev_pools = acct.pool_idx
-            if fw != prev_fw:
-                self._trace_fault_transition(slot, fw)
-            prev_fw = fw
-            slot += n_window
-
-        with self._metrics.phase("account"):
-            deferred = iter(self._account_horizon(tasks) if tasks else [])
-            for n_active_vms, arrivals, departures, records in windows:
-                if records is None:
-                    records = next(deferred)
-                result.records.extend(
-                    replace(
-                        rec,
-                        n_active_vms=n_active_vms,
-                        arrivals=arrivals if i == 0 else 0,
-                        departures=departures if i == 0 else 0,
-                    )
-                    for i, rec in enumerate(records)
-                )
-        self._trace_run_end(result)
-        return result
+    def _decide(self, window, state) -> Allocation:
+        ctx = self._cloud_context(
+            window.slot,
+            window.n_window,
+            window.active,
+            window.scale,
+            window.fault,
+        )
+        with self._metrics.phase("policy"):
+            return self._policy.allocate(ctx)
 
     # -- internals ----------------------------------------------------------
 

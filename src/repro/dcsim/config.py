@@ -1,8 +1,8 @@
 """Unified simulation configuration object.
 
-Eight PRs of growth left :class:`~repro.dcsim.DataCenterSimulation`'s
-constructor with thirteen keyword arguments spanning four concerns
-(platform, horizon, engine paths, observability).  A
+:class:`~repro.dcsim.DataCenterSimulation`'s constructor takes twelve
+keyword arguments spanning four concerns (platform, horizon, engine
+paths, observability).  A
 :class:`SimulationConfig` groups them into one validated, frozen,
 reusable object:
 
@@ -50,9 +50,8 @@ class SimulationConfig:
         n_slots: horizon length in slots (default: rest of the traces).
         migration_energy_j: energy charged per migration.
         psu: optional PSU efficiency model.
-        window_batch: account windows as whole batches (fast path).
-        superbatch: concatenate windows across allocation boundaries
-            (fast path; implies ``window_batch``).
+        window_batch: account windows as whole batches (fast path;
+            ``False`` selects the per-slot reference oracle).
         fleet: heterogeneous fleet spec (mutually exclusive with
             ``power_model``/``max_servers``).
         faults: optional fault schedule.
@@ -68,7 +67,6 @@ class SimulationConfig:
     migration_energy_j: float = 0.0
     psu: Optional[Any] = None
     window_batch: bool = True
-    superbatch: bool = True
     fleet: Optional[FleetSpec] = None
     faults: Optional[Any] = None
     tracer: Optional[Any] = None
@@ -115,9 +113,8 @@ class StreamingConfig(SimulationConfig):
     Built for
     :meth:`~repro.cloud.streaming.StreamingCloudSimulation.from_config`
     (inherited from the engine base, so a config-built streaming run is
-    bit-identical to the keyword call).  ``superbatch`` is inherited but
-    irrelevant — the streaming engine forces it off either way.  The
-    ``sleep`` test hook stays a constructor-only argument.
+    bit-identical to the keyword call).  The ``sleep`` test hook stays a
+    constructor-only argument.
 
     Attributes:
         telemetry: replay degradation timeline

@@ -15,56 +15,42 @@ For every 1-hour slot of the evaluation horizon:
 Servers hosting no VM are powered off (0 W) — the server turn-off
 assumption shared by all compared policies.
 
-Fast-path accounting: everything that depends only on the allocation
-(VM->server map, active set, QoS floors, fixed OPP indices, scatter
-indices) is hoisted into a per-allocation :class:`_AllocationAccounting`
-and reused across the allocation's slots, and aggregation runs through
-``np.bincount`` — bit-identical to the seed's ``np.add.at`` scatter
-(both accumulate in input order) but a single C loop instead of the
-buffered ufunc.
+One loop drives every engine.  :meth:`DataCenterSimulation._windows` cuts
+the horizon into allocation windows (the policy's reallocation period,
+fault-state changes and, in subclasses, membership changes), asks the
+policy for a placement, counts migrations against the previous window
+and accounts the window at once.  ``run()`` drains it; the churn and
+streaming engines specialise it only through small hooks (membership,
+telemetry ingest and decision ladder, checkpoints).
 
-On top of that, accounting is **batched per allocation window** by
-default (``window_batch=True``): all of a window's real-trace slots are
-stacked into one ``(n_slots, n_servers, n_samples)`` tensor, aggregated
-with a single bincount scatter over flattened (slot, server, sample)
-bins, run through the governor and :class:`VectorizedServerPower` in one
-call, and the per-slot :class:`SlotRecord`s are emitted from the batched
-arrays.  Within each (slot, server, sample) bin the VMs accumulate in
-the same ascending order as the per-slot scatter and the per-slot
-reductions run over the same contiguous slices, so the results are
+Accounting: everything that depends only on the allocation (VM->server
+map, active set, QoS floors, fixed OPP indices, scatter indices) is
+hoisted into a per-allocation :class:`_AllocationAccounting`.  The
+window kernel (:meth:`DataCenterSimulation._account_batch`) stacks the
+window's real-trace slots into one ``(n_slots, n_servers, n_samples)``
+tensor, aggregates it with a single ``np.bincount`` scatter over
+flattened (slot, server, sample) bins, and runs the governor and
+:class:`VectorizedServerPower` once.  Within each bin the VMs accumulate
+in the same ascending order as a per-slot scatter and every per-slot
+reduction runs over the same contiguous slice, so the records are
 bit-identical to the per-slot path — which ``window_batch=False`` keeps
-callable as the tested reference oracle.  ``count_migrations`` likewise
-sorts only the non-zero overlap pairs; ``_count_migrations_reference``
-preserves the seed's dense pair loop as the equivalence oracle.
-
-**Horizon-concatenated accounting** (``superbatch=True``, the default)
-goes one step further: consecutive accounting windows are concatenated
-*across allocation boundaries* into one ragged super-batch.  Policies
-that reallocate every slot (EPACT) degenerate window batching back into
-per-slot work — one scatter and one power evaluation per 1-slot window —
-so the super-batch pads every window's (slot, server, sample) bins to
-the horizon chunk's maximum server count and aggregates *all* windows
-with a single ``np.bincount`` scatter and a single
-:class:`VectorizedServerPower` evaluation.  Per-slot records are sliced
-back out of the padded tensors over exactly the per-window reduction
-ranges (padded servers carry zero utilization, an inactive mask and are
-excluded from every reduction by prefix slicing), so the results remain
-bit-identical to both the per-window and the per-slot oracles —
-``superbatch=False`` keeps the per-window path, ``window_batch=False``
-the per-slot one.  Super-batches are flushed in memory-bounded chunks
-(``_SUPERBATCH_MAX_CELLS`` caps both the padded server tensors and the
-VM-proportional scatter arrays).
+callable as the tested reference oracle.  ``np.bincount`` is itself
+bit-identical to the seed's ``np.add.at`` scatter (both accumulate in
+input order).  ``count_migrations`` sorts only the non-zero overlap
+pairs; ``_count_migrations_reference`` preserves the seed's dense pair
+loop as its equivalence oracle.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace as dc_replace
+from dataclasses import dataclass, field, replace as dc_replace
 from functools import lru_cache
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, Iterator, List, Optional
 
 import numpy as np
 
 from ..core.governor import DvfsGovernor
+from ..core.online import OnlinePolicy
 from ..core.types import (
     Allocation,
     AllocationContext,
@@ -84,17 +70,6 @@ from .metrics import SimulationResult, SlotRecord
 from .power_tables import cached_tables
 
 _EPS = 1.0e-9
-
-# Cell budget per horizon-concatenated accounting flush.  A chunk
-# closes when either transient family would outgrow it: the padded
-# (slot, server, sample) tensors (times the memory-class count) or the
-# (VM, slot, sample) scatter index/weight arrays — the latter scale
-# with the fleet's VM count, which consolidating policies make much
-# larger than the server count.  2M float64 cells keeps each family
-# around ~50 MB at paper scale while still concatenating hundreds of
-# 1-slot windows per flush.
-_SUPERBATCH_MAX_CELLS = 2_000_000
-
 
 @lru_cache(maxsize=1)
 def _default_perf() -> PerformanceSimulator:
@@ -139,7 +114,7 @@ class _AllocationAccounting:
             heterogeneous fleets, ``None`` otherwise.
         n_failed: servers down during this window (fault layer).
         cap_frac: fleet power budget fraction for this window (1.0 =
-            uncapped; the accounting tiers throttle samples whose fleet
+            uncapped; accounting throttles samples whose fleet
             power exceeds ``cap_frac`` times the nominal full-load
             power).
         shed_vms: VMs the policy shed for this window (degraded
@@ -167,15 +142,80 @@ class _AllocationAccounting:
     fault_boundary: bool = False
 
 
-@dataclass(frozen=True)
-class _WindowTask:
-    """One accounting window deferred into a horizon super-batch."""
+@dataclass
+class _Window:
+    """One allocation window as the loop plans and accounts it.
 
-    first_slot: int
+    Attributes:
+        slot: first slot of the window.
+        n_window: window length in slots.
+        fault: the window's fault state (``None`` = no active fault).
+        active: global ids of the VMs the window places (the cloud
+            engines' membership), or ``None`` for the whole fleet.
+        scale: per-active-VM ``(cpu, mem)`` resize factors, or ``None``.
+        arrivals: VMs that arrived at the window boundary.
+        departures: VMs that departed at the window boundary.
+        allocation: the policy's placement (``None`` for an empty cloud).
+        migrations: VM moves relative to the previous placement.
+        records: the window's final per-slot records.
+    """
+
+    slot: int
     n_window: int
-    allocation: Allocation
-    acct: _AllocationAccounting
-    migrations: int
+    fault: Optional[FaultWindow]
+    active: Optional[np.ndarray] = None
+    scale: Optional[tuple] = None
+    arrivals: int = 0
+    departures: int = 0
+    allocation: Optional[Allocation] = None
+    migrations: int = 0
+    records: List[SlotRecord] = field(default_factory=list)
+
+
+@dataclass
+class _LoopState:
+    """What the window loop carries from one window to the next.
+
+    Attributes:
+        slot: first slot of the next window.
+        records: every record so far, in horizon order.
+        prev_active: the previous window's membership (``None`` for the
+            whole fleet).
+        prev_alloc: the previous window's allocation (``None`` before
+            the first window and after an empty cloud).
+        prev_ids: global ids of the previously *placed* VMs (shed VMs
+            excluded; ``None`` for the whole fleet).
+        prev_map: their server indices (``None`` before the first
+            window).
+        prev_pools: the previous per-server pool indices, if any.
+        prev_fw: the previous window's fault state.
+    """
+
+    slot: int
+    records: List[SlotRecord] = field(default_factory=list)
+    prev_active: Optional[np.ndarray] = None
+    prev_alloc: Optional[Allocation] = None
+    prev_ids: Optional[np.ndarray] = None
+    prev_map: Optional[np.ndarray] = None
+    prev_pools: Optional[np.ndarray] = None
+    prev_fw: Optional[FaultWindow] = None
+
+    def advance(
+        self, window: _Window, acct: Optional[_AllocationAccounting]
+    ) -> None:
+        """Adopt a recorded window as the previous one."""
+        if acct is None:
+            self.prev_ids = window.active
+            self.prev_map = np.empty(0, dtype=int)
+            self.prev_pools = None
+        else:
+            self.prev_ids = acct.vm_rows
+            self.prev_map = acct.vm2srv
+            self.prev_pools = acct.pool_idx
+        self.prev_active = window.active
+        self.prev_alloc = window.allocation
+        self.prev_fw = window.fault
+        self.slot = window.slot + window.n_window
 
 
 class DataCenterSimulation:
@@ -206,13 +246,6 @@ class DataCenterSimulation:
         window_batch: account whole allocation windows at once (default)
             instead of slot by slot.  Results are bit-identical; the
             per-slot path remains the tested reference oracle.
-        superbatch: concatenate consecutive accounting windows across
-            allocation boundaries into horizon super-batches (default;
-            requires ``window_batch``).  Per-slot-reallocation policies
-            then aggregate with one scatter and one power evaluation per
-            chunk instead of one per allocation.  Results are
-            bit-identical; ``superbatch=False`` keeps the per-window
-            path as the intermediate oracle.
         fleet: heterogeneous fleet specification.  When given (mutually
             exclusive with ``power_model`` and ``max_servers``), the
             fleet's pool sizes define the total server count, every
@@ -220,7 +253,7 @@ class DataCenterSimulation:
             (model) index, and accounting evaluates each pool through
             its own cached :class:`VectorizedServerPower` tables,
             governor, QoS floors and stall/traffic curves — one
-            evaluation per (batch, model).  A single-pool fleet
+            evaluation per (window, model).  A single-pool fleet
             reproduces the homogeneous engine bit-identically
             (``tests/test_hetero_equivalence.py``).
         faults: optional :class:`~repro.cloud.faults.FaultSchedule`
@@ -254,7 +287,6 @@ class DataCenterSimulation:
         migration_energy_j: float = 0.0,
         psu=None,
         window_batch: bool = True,
-        superbatch: bool = True,
         fleet: Optional[FleetSpec] = None,
         faults=None,
         tracer=None,
@@ -269,7 +301,7 @@ class DataCenterSimulation:
         self._migration_energy_j = migration_energy_j
         self._psu = psu
         self._window_batch = window_batch
-        self._superbatch = superbatch and window_batch
+        self._result: Optional[SimulationResult] = None
         self._dataset = dataset
         self._predictor = predictor
         self._policy = policy
@@ -481,7 +513,7 @@ class DataCenterSimulation:
 
         Every server at full load at its pool's ``Fmax``, run through
         the PSU transform when wall-plug accounting is on — the same
-        per-server arithmetic the accounting tiers apply, so a cap of
+        per-server arithmetic accounting applies, so a cap of
         1.0 can never throttle a physically realizable fleet.
         """
         if self._fleet is not None:
@@ -569,29 +601,41 @@ class DataCenterSimulation:
 
         The policy is invoked at its own reallocation cadence (every slot
         for EPACT, every 24 slots for the day-ahead consolidation
-        baselines); accounting always happens per slot.  Everything that
-        depends only on the allocation (VM->server map, active set, QoS
-        floors, fixed OPP indices, scatter indices) is computed once per
-        allocation and reused across its slots; with ``window_batch``
-        (the default) the window's slots are additionally accounted in
-        one batched pass.
+        baselines); accounting always happens per slot.  Drains
+        :meth:`_windows`, the one window loop every engine shares.
         """
-        result = SimulationResult(policy_name=self._policy.name)
+        for _ in self._windows():
+            pass
+        return self._result
+
+    # -- the window loop -----------------------------------------------------
+    #
+    # Subclasses specialise the loop only through the hooks below:
+    # ``_loop_start`` (fresh or resumed state), ``_open_window``
+    # (membership, window cuts, telemetry ingest), ``_decide`` (the
+    # window's allocation), ``_annotate`` (per-slot record fields) and
+    # ``_close_window`` (checkpoints).
+
+    #: Window record type the loop creates; subclasses may extend it.
+    _window_type = _Window
+
+    def _windows(self) -> Iterator[_Window]:
+        """Plan, prepare, count and account the horizon window by window.
+
+        Windows are cut at the policy's reallocation period, the horizon
+        end and every fault-state change (subclasses cut further in
+        :meth:`_open_window`).  Every window is accounted as soon as it
+        is planned, so each yielded :class:`_Window` is final.  When the
+        generator is exhausted the run's :class:`SimulationResult` is on
+        ``self._result``.
+        """
+        self._result = None
+        state = self._loop_start()
         self._trace_run_start()
         period = max(1, int(self._policy.reallocation_period_slots))
-        counter = MigrationCounter()
-        # Windows under an active fault layer can shed VMs, so the maps
-        # no longer always cover the full population; migrations then
-        # run through the stateless intersect path over commonly-placed
-        # VMs.  The zero-event path keeps the cached counter exactly.
-        stateless = self._faults is not None and self._faults.has_events
-        all_rows: Optional[np.ndarray] = None
-        prev_rows = prev_map = prev_pools = None
-        prev_fw: Optional[FaultWindow] = None
-        tasks: List[_WindowTask] = []
-        slot = self._start_slot
         end = self._start_slot + self._n_slots
-        while slot < end:
+        while state.slot < end:
+            slot = state.slot
             n_window = min(period, end - slot)
             fw = None
             if self._faults is not None:
@@ -600,69 +644,148 @@ class DataCenterSimulation:
                     max(1, self._faults.next_change(slot) - slot),
                 )
                 fw = self._fault_window(slot)
-            allocation = self._allocate_window(slot, n_window, fw)
-            with self._metrics.phase("allocate"):
-                acct = self._prepare_allocation(
-                    allocation, fault=fw, fault_boundary=fw != prev_fw
-                )
-            if fw != prev_fw:
+            window = self._window_type(slot, n_window, fw)
+            self._open_window(window, state)
+            boundary = fw != state.prev_fw
+            if boundary:
                 self._trace_fault_transition(slot, fw)
-            prev_fw = fw
-            if stateless:
-                if all_rows is None:
-                    all_rows = np.arange(self._dataset.n_vms)
-                rows = (
-                    acct.vm_rows if acct.vm_rows is not None else all_rows
-                )
-                if prev_rows is None:
-                    migrations = 0
-                else:
-                    _, ia, ib = np.intersect1d(
-                        prev_rows,
-                        rows,
-                        assume_unique=True,
-                        return_indices=True,
-                    )
-                    migrations = count_migrations(
-                        prev_map[ia],
-                        acct.vm2srv[ib],
-                        previous_pools=prev_pools,
-                        new_pools=acct.pool_idx,
-                    )
-                prev_rows, prev_map = rows, acct.vm2srv
-                prev_pools = acct.pool_idx
+            acct = None
+            if window.active is not None and window.active.size == 0:
+                records = self._empty_records(window)
             else:
-                migrations = counter.update(acct.vm2srv, acct.pool_idx)
-            self._trace_window(slot, n_window, allocation, acct, migrations)
-            if self._superbatch:
-                tasks.append(
-                    _WindowTask(slot, n_window, allocation, acct, migrations)
-                )
-            elif self._window_batch:
-                with self._metrics.phase("account"):
-                    result.records.extend(
-                        self._account_window(
-                            slot, n_window, allocation, acct, migrations
-                        )
+                window.allocation = self._decide(window, state)
+                with self._metrics.phase("allocate"):
+                    acct = self._prepare_allocation(
+                        window.allocation,
+                        vm_rows=window.active,
+                        scale=window.scale,
+                        fault=fw,
+                        fault_boundary=boundary,
                     )
-            else:
+                window.migrations = self._count_window_migrations(
+                    state, acct
+                )
+                self._trace_window(window, acct)
                 with self._metrics.phase("account"):
-                    for s in range(slot, slot + n_window):
-                        result.records.append(
-                            self._account_slot(
-                                s,
-                                allocation,
-                                acct,
-                                migrations if s == slot else 0,
-                            )
-                        )
-            slot += n_window
-        if tasks:
-            with self._metrics.phase("account"):
-                for window_records in self._account_horizon(tasks):
-                    result.records.extend(window_records)
-        self._trace_run_end(result)
-        return result
+                    records = self._account(window, acct)
+            window.records = self._annotate(window, records)
+            state.records.extend(window.records)
+            state.advance(window, acct)
+            self._close_window(window, state)
+            yield window
+        self._result = SimulationResult(
+            policy_name=self._policy.name, records=state.records
+        )
+        self._trace_run_end(self._result)
+
+    def _loop_start(self) -> _LoopState:
+        """The state the loop starts from (hook: resume)."""
+        if isinstance(self._policy, OnlinePolicy):
+            self._policy.reset()
+        return _LoopState(slot=self._start_slot)
+
+    def _open_window(self, window: _Window, state: _LoopState) -> None:
+        """Membership and telemetry of a window (hook; none here).
+
+        The fixed-population engine places the whole fleet
+        (``window.active is None``) with unscaled traces.
+        """
+
+    def _decide(self, window: _Window, state: _LoopState) -> Allocation:
+        """The window's allocation (hook)."""
+        return self._allocate_window(
+            window.slot, window.n_window, window.fault
+        )
+
+    def _annotate(
+        self, window: _Window, records: List[SlotRecord]
+    ) -> List[SlotRecord]:
+        """Per-slot membership fields (hook; cloud windows only)."""
+        if window.active is None:
+            return records
+        n_active_vms = int(window.active.size)
+        return [
+            dc_replace(
+                rec,
+                n_active_vms=n_active_vms,
+                arrivals=window.arrivals if i == 0 else 0,
+                departures=window.departures if i == 0 else 0,
+            )
+            for i, rec in enumerate(records)
+        ]
+
+    def _close_window(self, window: _Window, state: _LoopState) -> None:
+        """After a window is recorded (hook: checkpoints)."""
+
+    def _empty_records(self, window: _Window) -> List[SlotRecord]:
+        """An empty cloud: every server off, nothing to place."""
+        fw = window.fault
+        return [
+            SlotRecord(
+                slot_index=s,
+                case="",
+                n_active_servers=0,
+                violations=0,
+                forced_placements=0,
+                energy_j=0.0,
+                mean_freq_ghz=0.0,
+                f_opt_ghz=0.0,
+                n_failed_servers=fw.n_failed if fw else 0,
+            )
+            for s in range(window.slot, window.slot + window.n_window)
+        ]
+
+    def _count_window_migrations(
+        self, state: _LoopState, acct: "_AllocationAccounting"
+    ) -> int:
+        """VM moves since the previous window.
+
+        Only VMs placed on both sides of the boundary can migrate:
+        arrivals, departures and shed VMs are not migrations.  Rows of
+        ``None`` stand for the whole fleet.  Pool indices restrict the
+        matching to same-pool server pairs on heterogeneous fleets (a VM
+        block landing on another platform migrated).
+        """
+        if state.prev_map is None:
+            return 0
+        prev_map, new_map = state.prev_map, acct.vm2srv
+        if state.prev_ids is not None or acct.vm_rows is not None:
+            all_rows = np.arange(self._dataset.n_vms)
+            _, ia, ib = np.intersect1d(
+                all_rows if state.prev_ids is None else state.prev_ids,
+                all_rows if acct.vm_rows is None else acct.vm_rows,
+                assume_unique=True,
+                return_indices=True,
+            )
+            prev_map, new_map = prev_map[ia], new_map[ib]
+        return count_migrations(
+            prev_map,
+            new_map,
+            previous_pools=state.prev_pools,
+            new_pools=acct.pool_idx,
+        )
+
+    def _account(
+        self, window: _Window, acct: "_AllocationAccounting"
+    ) -> List[SlotRecord]:
+        """The window's records: the kernel, or the per-slot oracle."""
+        if self._window_batch:
+            return self._account_batch(
+                window.slot,
+                window.n_window,
+                window.allocation,
+                acct,
+                window.migrations,
+            )
+        return [
+            self._account_slot(
+                s,
+                window.allocation,
+                acct,
+                window.migrations if s == window.slot else 0,
+            )
+            for s in range(window.slot, window.slot + window.n_window)
+        ]
 
     # -- tracing ------------------------------------------------------------
     #
@@ -693,25 +816,29 @@ class DataCenterSimulation:
         if self._faults is not None:
             self._faults.trace_events(tracer)
 
-    def _trace_window(
-        self, slot, n_window, allocation, acct, migrations, **extra
-    ) -> None:
+    def _trace_window(self, window: _Window, acct) -> None:
         tracer = self._tracer
+        migrations = window.migrations
         if self._metrics.enabled:
             self._metrics.counter("windows")
             self._metrics.counter("migrations", migrations)
         if not tracer.enabled:
             return
         fields = dict(
-            slot=slot,
-            n_window=n_window,
-            case=allocation.case,
+            slot=window.slot,
+            n_window=window.n_window,
+            case=window.allocation.case,
             n_servers=acct.n_srv,
             active_servers=int(np.count_nonzero(acct.active)),
             migrations=migrations,
-            forced_placements=allocation.forced_placements,
-            **extra,
+            forced_placements=window.allocation.forced_placements,
         )
+        if window.active is not None:
+            fields.update(
+                n_active_vms=int(window.active.size),
+                arrivals=window.arrivals,
+                departures=window.departures,
+            )
         if self._faults is not None:
             fields["fault_migrations"] = (
                 migrations if acct.fault_boundary else 0
@@ -1057,7 +1184,7 @@ class DataCenterSimulation:
         pool_map: np.ndarray,
         fixed_opp: Optional[np.ndarray] = None,
     ) -> tuple:
-        """Per-(batch, model) governor + power evaluation.
+        """Per-(window, model) governor + power evaluation.
 
         The heterogeneous counterpart of the inline homogeneous blocks:
         ``util`` has shape ``(..., n_samples)`` with arbitrary leading
@@ -1065,9 +1192,7 @@ class DataCenterSimulation:
         share the leading shape.  For each fleet pool the selected rows
         run through *that pool's* governor, stall table, traffic
         coefficients and cached :class:`VectorizedServerPower` in one
-        call — one evaluation per (batch, model), never per server.
-        Rows with pool ``-1`` (super-batch padding) stay zero; they are
-        excluded from every reduction by prefix slicing anyway.
+        call — one evaluation per (window, model), never per server.
 
         All arithmetic is the same elementwise kernel the homogeneous
         blocks use (shared ``DvfsGovernor._demand_indices``, the same
@@ -1082,7 +1207,7 @@ class DataCenterSimulation:
         n_classes = util_by_class.shape[0]
         # Whole-tensor selections (single-pool fleets — every mix
         # sweep's homogeneous controls) evaluate through reshaped
-        # *views*, skipping the chunk-sized copies boolean indexing
+        # *views*, skipping the window-sized copies boolean indexing
         # would make; only the small per-(…, server) floor/pin vectors
         # are materialized.
         for m in range(self._fleet.n_pools):
@@ -1295,7 +1420,7 @@ class DataCenterSimulation:
             ),
         )
 
-    def _account_window(
+    def _account_batch(
         self,
         first_slot: int,
         n_window: int,
@@ -1303,15 +1428,16 @@ class DataCenterSimulation:
         acct: "_AllocationAccounting",
         migrations: int,
     ) -> List[SlotRecord]:
-        """Account a whole allocation window in one batched pass.
+        """The accounting kernel: one allocation window in one pass.
 
         Stacks the window's real-trace slots into ``(n_window, n_servers,
         n_samples)`` tensors, aggregates them with a single bincount
         scatter over flattened (slot, server, sample) bins and evaluates
-        governor, stall, traffic and power for the whole window at once.
-        Every per-slot quantity is reduced over the same contiguous slice
-        in the same element order as :meth:`_account_slot`, so the
-        emitted records are bit-identical to the per-slot reference.
+        governor, stall, traffic and power for the whole window at once
+        (one evaluation per fleet model on heterogeneous fleets).  Every
+        per-slot quantity is reduced over the same contiguous slice in
+        the same element order as :meth:`_account_slot`, so the emitted
+        records are bit-identical to the per-slot reference.
         """
         n_srv = acct.n_srv
         sps = SAMPLES_PER_SLOT
@@ -1462,359 +1588,6 @@ class DataCenterSimulation:
             )
         return records
 
-    def _account_horizon(
-        self, tasks: List["_WindowTask"]
-    ) -> List[List[SlotRecord]]:
-        """Account deferred windows in memory-bounded super-batches.
-
-        Windows are flushed in order and never split across chunks; a
-        chunk closes when adding the next window would push either
-        transient family — padded (slot, server, sample) cells times
-        the class count, or (VM, slot, sample) scatter cells — past
-        ``_SUPERBATCH_MAX_CELLS`` (a single oversized window still
-        forms its own chunk — that is exactly the per-window batch the
-        PR 2 path already handles).  Returns one record list per task,
-        in task order.
-        """
-        sps = SAMPLES_PER_SLOT
-        n_classes = len(self._class_masks)
-        out: List[List[SlotRecord]] = []
-        chunk: List[_WindowTask] = []
-        n_slots = 0
-        max_srv = 0
-        vm_cells = 0
-        for task in tasks:
-            n_vms = (
-                self._dataset.n_vms
-                if task.acct.vm_rows is None
-                else int(task.acct.vm_rows.shape[0])
-            )
-            task_vm_cells = n_vms * task.n_window * sps
-            new_srv = max(max_srv, task.acct.n_srv)
-            new_slots = n_slots + task.n_window
-            if chunk and (
-                new_slots * new_srv * sps * n_classes
-                > _SUPERBATCH_MAX_CELLS
-                or vm_cells + task_vm_cells > _SUPERBATCH_MAX_CELLS
-            ):
-                out.extend(self._account_superbatch(chunk))
-                chunk = []
-                new_srv = task.acct.n_srv
-                new_slots = task.n_window
-                vm_cells = 0
-            chunk.append(task)
-            n_slots = new_slots
-            max_srv = new_srv
-            vm_cells += task_vm_cells
-        if chunk:
-            out.extend(self._account_superbatch(chunk))
-        return out
-
-    def _account_superbatch(
-        self, tasks: List["_WindowTask"]
-    ) -> List[List[SlotRecord]]:
-        """Account several windows (distinct allocations) in one pass.
-
-        Every window's (slot, server, sample) bins are padded to the
-        chunk's maximum server count, so the whole chunk aggregates with
-        a single ``np.bincount`` scatter per quantity and one
-        :class:`VectorizedServerPower` evaluation.  Padded servers carry
-        zero utilization, the QoS floor ``f_min`` and an inactive mask;
-        every per-slot reduction (energy, violations, mean frequency)
-        slices the window's own server prefix — the same contiguous
-        ranges, in the same element order, as :meth:`_account_window` —
-        so the emitted records are bit-identical to the per-window path
-        (and therefore to the per-slot reference).
-        """
-        sps = SAMPLES_PER_SLOT
-        n_classes = len(self._class_masks)
-        n_total = sum(t.n_window for t in tasks)
-        n_srv_max = max(t.acct.n_srv for t in tasks)
-        slot_bins = n_srv_max * sps
-        n_bins = n_total * slot_bins
-
-        floors = np.full(
-            (n_total, n_srv_max), self._power.spec.opps.f_min_ghz
-        )
-        active = np.zeros((n_total, n_srv_max), dtype=bool)
-        caps = np.empty(n_total)
-        fixed: List[tuple] = []
-        # Heterogeneous fleets carry a model-index tensor parallel to
-        # the padded (slot, server) bins: -1 marks padding, everything
-        # else selects the pool whose tables evaluate that server row.
-        # Single-pool fleets pad with pool 0 instead — padded rows are
-        # zero-utilization and excluded from every reduction anyway
-        # (exactly how the homogeneous path treats them), and an
-        # all-pool-0 map lets _eval_pools take its copy-free
-        # whole-tensor route.
-        pool_map = fixed_map = None
-        if self._fleet is not None:
-            pad_pool = 0 if self._fleet.single_pool else -1
-            pool_map = np.full((n_total, n_srv_max), pad_pool, dtype=int)
-        off = 0
-        for task in tasks:
-            acct = task.acct
-            floors[off : off + task.n_window, : acct.n_srv] = acct.floors[
-                None, :
-            ]
-            active[off : off + task.n_window, : acct.n_srv] = acct.active[
-                None, :
-            ]
-            caps[off : off + task.n_window] = (
-                task.allocation.violation_cap_pct
-            )
-            if acct.opp_idx_fixed is not None:
-                fixed.append((off, task.n_window, acct))
-            if pool_map is not None:
-                pool_map[off : off + task.n_window, : acct.n_srv] = (
-                    acct.pool_idx[None, :]
-                )
-                if acct.pool_fixed_opp is not None:
-                    if fixed_map is None:
-                        fixed_map = np.full(
-                            (n_total, n_srv_max), -1, dtype=int
-                        )
-                    fixed_map[
-                        off : off + task.n_window, : acct.n_srv
-                    ] = acct.pool_fixed_opp[None, :]
-            off += task.n_window
-
-        # Two scatter-assembly routes.  Fixed-population chunks (the
-        # base engine: full fleet, no resizes, consecutive slots) build
-        # one chunk-wide index tensor against one contiguous trace
-        # slice; the general route (cloud membership rows / resize
-        # scales) assembles per task.  Either way every bin receives
-        # only its own window's VMs in ascending-VM order — the
-        # per-slot scatter's accumulation order — so sums stay
-        # bit-identical.
-        plain = all(
-            t.acct.vm_rows is None and t.acct.scale_cpu is None
-            for t in tasks
-        ) and all(
-            tasks[i].first_slot + tasks[i].n_window
-            == tasks[i + 1].first_slot
-            for i in range(len(tasks) - 1)
-        )
-        if plain:
-            n_vms = self._dataset.n_vms
-            lo = tasks[0].first_slot * sps
-            hi = lo + n_total * sps
-            real_cpu = self._dataset.cpu_pct[:, lo:hi]
-            real_mem = self._dataset.mem_pct[:, lo:hi]
-            # Per-(VM, slot) server index, stacked over the chunk.
-            vm2srv = np.concatenate(
-                [
-                    np.broadcast_to(
-                        t.acct.vm2srv[:, None], (n_vms, t.n_window)
-                    )
-                    for t in tasks
-                ],
-                axis=1,
-            )
-            flat = (
-                vm2srv * sps + (np.arange(n_total) * slot_bins)[None, :]
-            )[:, :, None] + np.arange(sps)[None, None, :]
-            all_idx = flat.ravel()
-            util = np.bincount(
-                all_idx, weights=real_cpu.ravel(), minlength=n_bins
-            ).reshape(n_total, n_srv_max, sps)
-            mem_util = np.bincount(
-                all_idx, weights=real_mem.ravel(), minlength=n_bins
-            ).reshape(n_total, n_srv_max, sps)
-            util_by_class = np.zeros((n_classes, n_total, n_srv_max, sps))
-            for ci, mask in enumerate(self._class_masks):
-                if mask.any():
-                    util_by_class[ci] = np.bincount(
-                        flat[mask].ravel(),
-                        weights=real_cpu[mask].ravel(),
-                        minlength=n_bins,
-                    ).reshape(n_total, n_srv_max, sps)
-        else:
-            idx_parts: List[np.ndarray] = []
-            cpu_parts: List[np.ndarray] = []
-            mem_parts: List[np.ndarray] = []
-            class_idx: List[List[np.ndarray]] = [
-                [] for _ in range(n_classes)
-            ]
-            class_wts: List[List[np.ndarray]] = [
-                [] for _ in range(n_classes)
-            ]
-            off = 0
-            for task in tasks:
-                acct = task.acct
-                lo = task.first_slot * sps
-                hi = (task.first_slot + task.n_window) * sps
-                if acct.vm_rows is None:
-                    n_vms = self._dataset.n_vms
-                    real_cpu = self._dataset.cpu_pct[:, lo:hi]
-                    real_mem = self._dataset.mem_pct[:, lo:hi]
-                else:
-                    n_vms = int(acct.vm_rows.shape[0])
-                    real_cpu = self._dataset.cpu_pct[acct.vm_rows, lo:hi]
-                    real_mem = self._dataset.mem_pct[acct.vm_rows, lo:hi]
-                if acct.scale_cpu is not None:
-                    real_cpu = real_cpu * acct.scale_cpu[:, None]
-                    real_mem = real_mem * acct.scale_mem[:, None]
-                real_cpu = real_cpu.reshape(n_vms, task.n_window, sps)
-                real_mem = real_mem.reshape(n_vms, task.n_window, sps)
-
-                # acct.flat_idx already encodes server * sps + sample
-                # against the window's own server count; since every
-                # padded slot spans slot_bins >= n_srv * sps bins,
-                # adding the slot offset re-bases it into the chunk
-                # layout.
-                flat = (
-                    acct.flat_idx.reshape(n_vms, 1, sps)
-                    + ((off + np.arange(task.n_window)) * slot_bins)[
-                        None, :, None
-                    ]
-                )
-                idx_parts.append(flat.ravel())
-                cpu_parts.append(real_cpu.ravel())
-                mem_parts.append(real_mem.ravel())
-                for ci, mask in enumerate(acct.class_masks):
-                    if acct.class_flat[ci] is not None:
-                        class_idx[ci].append(flat[mask].ravel())
-                        class_wts[ci].append(real_cpu[mask].ravel())
-                off += task.n_window
-
-            all_idx = np.concatenate(idx_parts)
-            util = np.bincount(
-                all_idx,
-                weights=np.concatenate(cpu_parts),
-                minlength=n_bins,
-            ).reshape(n_total, n_srv_max, sps)
-            mem_util = np.bincount(
-                all_idx,
-                weights=np.concatenate(mem_parts),
-                minlength=n_bins,
-            ).reshape(n_total, n_srv_max, sps)
-            util_by_class = np.zeros((n_classes, n_total, n_srv_max, sps))
-            for ci in range(n_classes):
-                if class_idx[ci]:
-                    util_by_class[ci] = np.bincount(
-                        np.concatenate(class_idx[ci]),
-                        weights=np.concatenate(class_wts[ci]),
-                        minlength=n_bins,
-                    ).reshape(n_total, n_srv_max, sps)
-
-        if pool_map is not None:
-            # One governor + power evaluation per (chunk, model); the
-            # padded -1 rows stay zero and never enter a reduction.
-            freqs, power = self._eval_pools(
-                util, util_by_class, floors, pool_map, fixed_map
-            )
-        else:
-            # Dynamic-governor choice everywhere (padded servers get
-            # valid lowest-OPP indices), then fixed-frequency windows
-            # overwrite their own server prefix with the allocation's
-            # fixed indices.
-            opp_idx = self._governor.opp_indices_horizon(util, floors)
-            for off_t, n_window, acct in fixed:
-                opp_idx[off_t : off_t + n_window, : acct.n_srv] = (
-                    acct.opp_idx_fixed[None]
-                )
-
-            freqs = self._tables.freqs_ghz[opp_idx]
-            busy = util * self._f_max / (100.0 * freqs)
-
-            stall_num = np.zeros_like(util)
-            for ci in range(n_classes):
-                stall_num += (
-                    util_by_class[ci] * self._stall_tab[ci][opp_idx]
-                )
-            with np.errstate(divide="ignore", invalid="ignore"):
-                stall = np.where(
-                    util > _EPS, stall_num / np.maximum(util, _EPS), 0.0
-                )
-
-            traffic = np.tensordot(
-                self._traffic_coeff, util_by_class, axes=([0], [0])
-            )
-
-            power = self._tables.power_w(opp_idx, busy, stall, traffic)
-        power = power * active[:, :, None]
-        if self._psu is not None:
-            power = (
-                power
-                + self._psu.loss_fixed_w * active[:, :, None]
-                + self._psu.loss_prop * power
-                + self._psu.loss_sq_per_w * power**2
-            )
-
-        capped = np.zeros(n_total, dtype=int)
-        if any(t.acct.cap_frac < 1.0 for t in tasks):
-            # Per-task throttle over each window's own server prefix:
-            # the fleet-power reduction runs over exactly n_srv rows
-            # (never the padding), the same axis length and order as
-            # the per-window tier, so the budgets and scales agree
-            # bit-exactly; uncapped windows are left untouched.
-            off = 0
-            for task in tasks:
-                if task.acct.cap_frac < 1.0:
-                    sl = slice(off, off + task.n_window)
-                    n_srv = task.acct.n_srv
-                    budget = (
-                        self._nominal_power_w * task.acct.cap_frac
-                    )
-                    fleet_w = power[sl, :n_srv].sum(axis=1)
-                    scale_cap = np.minimum(
-                        1.0, budget / np.maximum(fleet_w, _EPS)
-                    )
-                    capped[sl] = (scale_cap < 1.0).sum(axis=1)
-                    power[sl, :n_srv] = (
-                        power[sl, :n_srv] * scale_cap[:, None, :]
-                    )
-                off += task.n_window
-
-        overutilized = (util > caps[:, None, None] + _EPS) | (
-            mem_util > 100.0 + _EPS
-        )
-        violations = (overutilized & active[:, :, None]).sum(axis=(1, 2))
-
-        records: List[List[SlotRecord]] = []
-        off = 0
-        for task in tasks:
-            acct = task.acct
-            n_srv = acct.n_srv
-            n_active = int(acct.active.sum())
-            any_active = bool(acct.active.any())
-            window_records: List[SlotRecord] = []
-            for w in range(task.n_window):
-                t = off + w
-                energy_j = float(power[t, :n_srv].sum() * SAMPLE_PERIOD_S)
-                if w == 0:
-                    energy_j += task.migrations * self._migration_energy_j
-                mean_freq = (
-                    float(freqs[t, :n_srv][acct.active].mean())
-                    if any_active
-                    else 0.0
-                )
-                window_records.append(
-                    SlotRecord(
-                        slot_index=task.first_slot + w,
-                        case=task.allocation.case,
-                        n_active_servers=n_active,
-                        violations=int(violations[t]),
-                        forced_placements=task.allocation.forced_placements,
-                        energy_j=energy_j,
-                        mean_freq_ghz=mean_freq,
-                        f_opt_ghz=task.allocation.f_opt_ghz or 0.0,
-                        migrations=task.migrations if w == 0 else 0,
-                        shed_vms=acct.shed_vms,
-                        n_failed_servers=acct.n_failed,
-                        capped_samples=int(capped[t]),
-                        fault_migrations=(
-                            task.migrations
-                            if w == 0 and acct.fault_boundary
-                            else 0
-                        ),
-                    )
-                )
-            records.append(window_records)
-            off += task.n_window
-        return records
-
 
 def count_migrations(
     previous_map: np.ndarray,
@@ -1889,78 +1662,6 @@ def _greedy_kept(
             used_new.add(nw)
             kept += cnt
     return kept
-
-
-class MigrationCounter:
-    """Stateful :func:`count_migrations` over consecutive reallocations.
-
-    The engine counts migrations between every pair of consecutive
-    allocations, so the "old" map of each call is exactly the "new" map
-    of the previous one.  This counter carries that map's **sorted
-    grouping** (stable argsort + sorted copy) across calls: per
-    reallocation it only sorts combined (old, new) pair codes whose high
-    bits are already grouped by the cached order, run-length-encodes the
-    non-zero overlap pairs, and applies the same greedy matching as
-    :func:`count_migrations`.  Unlike the dense pair histogram, the work
-    never scales with ``n_old * n_new`` — only with the fleet size — and
-    the old map is never re-sorted.
-
-    Counts are identical to calling :func:`count_migrations` on each
-    consecutive map pair (same pair multiset, same greedy order);
-    ``_count_migrations_reference`` remains the seed oracle.
-    """
-
-    __slots__ = ("_order", "_sorted", "_n_vms", "_pools")
-
-    def __init__(self) -> None:
-        self._order: Optional[np.ndarray] = None
-        self._sorted: Optional[np.ndarray] = None
-        self._n_vms: Optional[int] = None
-        self._pools: Optional[np.ndarray] = None
-
-    def update(
-        self,
-        new_map: np.ndarray,
-        new_pools: Optional[np.ndarray] = None,
-    ) -> int:
-        """Count migrations vs the previous map, then adopt ``new_map``.
-
-        The first call primes the state and returns 0 (no previous
-        allocation to migrate from).  ``new_pools`` (per-server pool
-        indices, heterogeneous fleets) restricts the greedy matching to
-        same-pool server pairs, as in :func:`count_migrations`.
-        """
-        new_map = np.asarray(new_map)
-        if self._n_vms is not None and new_map.shape != (self._n_vms,):
-            raise ConfigurationError(
-                "assignment maps must cover the same VMs"
-            )
-        n_vms = int(new_map.shape[0])
-        migrations = 0
-        if self._order is not None and n_vms > 0:
-            n_new = int(new_map.max()) + 1
-            # High bits (old server) are pre-grouped by the cached sort;
-            # one sort of the combined codes yields contiguous pair runs.
-            codes = self._sorted * n_new + new_map[self._order]
-            codes.sort()
-            starts = np.concatenate(
-                ([0], np.flatnonzero(codes[1:] != codes[:-1]) + 1)
-            )
-            overlap = np.diff(np.concatenate((starts, [codes.shape[0]])))
-            uniq = codes[starts]
-            old_ids = uniq // n_new
-            new_ids = uniq % n_new
-            if self._pools is not None and new_pools is not None:
-                same = self._pools[old_ids] == new_pools[new_ids]
-                overlap = overlap[same]
-                old_ids = old_ids[same]
-                new_ids = new_ids[same]
-            migrations = n_vms - _greedy_kept(overlap, old_ids, new_ids)
-        self._n_vms = n_vms
-        self._order = np.argsort(new_map, kind="stable")
-        self._sorted = new_map[self._order]
-        self._pools = new_pools
-        return migrations
 
 
 def _count_migrations_reference(

@@ -16,7 +16,6 @@ from repro.core.alloc2d import allocate_2d
 from repro.core.types import Allocation, ServerPlan
 from repro.core.workspace import AllocationWorkspace, validate_vm_order
 from repro.dcsim.engine import (
-    MigrationCounter,
     _count_migrations_reference,
     count_migrations,
 )
@@ -215,54 +214,19 @@ class TestCountMigrationsEquivalence:
 
 
 class TestMigrationCounterEquivalence:
-    """The stateful counter must match the per-pair functions exactly
-    over whole reallocation sequences (the state reuse across calls is
-    pure bookkeeping, never a different answer)."""
-
-    def test_matches_pairwise_over_sequences(self):
-        rng = np.random.default_rng(17)
-        for trial in range(10):
-            n_vms = int(rng.integers(1, 300))
-            counter = MigrationCounter()
-            prev = None
-            for step in range(8):
-                n_srv = int(rng.integers(1, 50))
-                new = rng.integers(0, n_srv, size=n_vms)
-                got = counter.update(new)
-                if prev is None:
-                    assert got == 0
-                else:
-                    assert got == count_migrations(prev, new)
-                    assert got == _count_migrations_reference(prev, new)
-                prev = new
-
-    def test_identical_consecutive_maps(self):
-        counter = MigrationCounter()
-        arr = np.array([0, 1, 1, 2, 0])
-        assert counter.update(arr) == 0
-        assert counter.update(arr.copy()) == 0
-        relabeled = np.array([2, 0, 0, 1, 2])
-        assert counter.update(relabeled) == 0  # pure relabel
-
-    def test_shape_mismatch_raises(self):
-        from repro.errors import ConfigurationError
-
-        counter = MigrationCounter()
-        counter.update(np.array([0, 1]))
-        with pytest.raises(ConfigurationError):
-            counter.update(np.array([0, 1, 2]))
+    """Engine-loop migration counting: the stateless matcher the window
+    loop calls at every boundary agrees with the seed pair loop over a
+    whole reallocation sequence."""
 
     def test_engine_loop_equivalence(self):
-        """Feeding the counter the maps of an engine-like sequence gives
-        the same totals as stateless per-pair counting."""
         rng = np.random.default_rng(23)
         maps = [rng.integers(0, 12, size=80) for _ in range(12)]
-        counter = MigrationCounter()
-        stateful = [counter.update(m) for m in maps]
-        stateless = [0] + [
-            count_migrations(a, b) for a, b in zip(maps, maps[1:])
+        fast = [count_migrations(a, b) for a, b in zip(maps, maps[1:])]
+        reference = [
+            _count_migrations_reference(a, b)
+            for a, b in zip(maps, maps[1:])
         ]
-        assert stateful == stateless
+        assert fast == reference
 
 
 class TestVmToServerVectorized:

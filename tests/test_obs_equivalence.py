@@ -181,6 +181,41 @@ class TestBitIdentity:
         assert kinds == {"outage", "cap"}
         assert tracer.of_type("fault_transition")
 
+    @pytest.mark.parametrize("engine", ["fixed", "cloud", "streaming"])
+    def test_fault_transition_opens_its_window(self, ds, pred, fixed, engine):
+        """Every engine emits a window's fault_transition right before
+        that window's allocation_window (the one window loop)."""
+        first = pred.first_predictable_day * 24
+        faults = FaultSchedule(
+            12,
+            0,
+            ds.n_slots,
+            server_outages=[(2, first + 4, first + 10)],
+            cap_windows=[(first + 12, first + 20, 0.8)],
+        )
+        tracer = RunTracer()
+        kwargs = dict(max_servers=12, n_slots=24, faults=faults, tracer=tracer)
+        if engine == "fixed":
+            DataCenterSimulation(ds, pred, EpactPolicy(), **kwargs).run()
+        elif engine == "cloud":
+            CloudSimulation(ds, pred, EpactPolicy(), fixed, **kwargs).run()
+        else:
+            StreamingCloudSimulation(
+                ds, pred, EpactPolicy(), fixed, **kwargs
+            ).run()
+        events = [
+            e
+            for e in tracer.events
+            if e["event"] in ("fault_transition", "allocation_window")
+        ]
+        opened = [
+            i for i, e in enumerate(events) if e["event"] == "fault_transition"
+        ]
+        assert len(opened) == 4  # outage on/off, cap on/off
+        for i in opened:
+            assert events[i + 1]["event"] == "allocation_window"
+            assert events[i + 1]["slot"] == events[i]["slot"]
+
     def test_metrics_phases_accumulate(self, ds, pred):
         tracer, metrics = traced_pair()
         DataCenterSimulation(

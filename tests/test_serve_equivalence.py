@@ -13,8 +13,7 @@ Four guarantees:
   :data:`repro.obs.tracer.EVENT_SCHEMAS`.
 
 Plus the collector adapters themselves: push semantics, dropout
-timeouts, the HTTP round-trip, and the deprecation shims for the names
-that moved out of ``repro.cloud.telemetry``.
+timeouts and the HTTP round-trip.
 """
 
 import itertools
@@ -199,22 +198,6 @@ class TestHttpFeed:
         http = HttpCollector(0, "http://127.0.0.1:9", timeout_s=0.2)
         with pytest.raises(CollectorTimeoutError):
             http.poll(1)
-
-
-class TestMovedNameShims:
-    def test_deprecation_warning_and_same_object(self):
-        import repro.cloud.telemetry as old
-        from repro.serve import adapters as new
-
-        for name in ("TelemetryBatch", "poll_with_retry"):
-            with pytest.warns(DeprecationWarning, match="repro.serve"):
-                assert getattr(old, name) is getattr(new, name)
-
-    def test_unknown_name_still_raises(self):
-        import repro.cloud.telemetry as old
-
-        with pytest.raises(AttributeError):
-            old.does_not_exist
 
 
 # -- serve replay vs the batch engine ---------------------------------------

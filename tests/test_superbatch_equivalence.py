@@ -1,20 +1,18 @@
-"""Horizon-concatenated accounting and companion-ARMA equivalence.
+"""Accounting-kernel and companion-ARMA equivalence.
 
-The super-batch path (``superbatch=True``, the default) concatenates
-accounting windows *across allocation boundaries* into padded chunks; it
-must emit records bit-identical to both the per-window path
-(``superbatch=False``) and the per-slot reference
+The window-loop accounting kernel (``window_batch=True``, the default)
+accounts every allocation window in one batched pass; it must emit
+records bit-identical to the per-slot reference
 (``window_batch=False``) — on fixed populations and under churn,
-including 1-slot reallocation windows, truncated horizons, chunked
-flushes and membership/resize changes landing exactly on allocation
-boundaries.  The companion-matrix ARMA forecast must match the kept
-per-step recursion to <= 1e-10 on the evaluation's default scenarios.
+including 1-slot reallocation windows, truncated horizons and
+membership/resize changes landing exactly on allocation boundaries.
+The companion-matrix ARMA forecast must match the kept per-step
+recursion to <= 1e-10 on the evaluation's default scenarios.
 """
 
 import numpy as np
 import pytest
 
-import repro.dcsim.engine as engine_mod
 import repro.forecast.batch as batch_mod
 from repro.baselines import CoatOptPolicy, CoatPolicy, LoadBalancePolicy
 from repro.core import EpactPolicy
@@ -59,17 +57,12 @@ class TestSuperbatchFixedPopulation:
     def test_one_slot_windows_match_both_oracles(
         self, sb_dataset, sb_predictor
     ):
-        """EPACT reallocates every slot — the degenerate case the
-        super-batch exists for: every record bit-identical to the
-        per-window and per-slot paths."""
+        """EPACT reallocates every slot — one kernel call per 1-slot
+        window: every record bit-identical to the per-slot path."""
         sup = _run_fixed(sb_dataset, sb_predictor, EpactPolicy())
-        win = _run_fixed(
-            sb_dataset, sb_predictor, EpactPolicy(), superbatch=False
-        )
         ref = _run_fixed(
             sb_dataset, sb_predictor, EpactPolicy(), window_batch=False
         )
-        assert records_equal(sup.records, win.records)
         assert records_equal(sup.records, ref.records)
 
     @pytest.mark.parametrize(
@@ -79,7 +72,7 @@ class TestSuperbatchFixedPopulation:
         self, sb_dataset, sb_predictor, policy_cls
     ):
         """Fixed-frequency (COAT/COAT-OPT) and dynamic-governor windows
-        mix into the same super-batch chunks."""
+        through the same kernel."""
         sup = _run_fixed(sb_dataset, sb_predictor, policy_cls())
         ref = _run_fixed(
             sb_dataset, sb_predictor, policy_cls(), window_batch=False
@@ -90,7 +83,8 @@ class TestSuperbatchFixedPopulation:
     def test_horizon_not_multiple_of_window(
         self, sb_dataset, sb_predictor, n_slots
     ):
-        """Truncated final windows (horizon % 24 != 0) pad correctly."""
+        """Truncated final windows (horizon % 24 != 0) account
+        correctly."""
         for policy_cls in (EpactPolicy, CoatPolicy):
             sup = _run_fixed(
                 sb_dataset, sb_predictor, policy_cls(), n_slots=n_slots
@@ -122,38 +116,12 @@ class TestSuperbatchFixedPopulation:
         assert records_equal(sup.records, ref.records)
         assert sup.total_migrations == ref.total_migrations
 
-    def test_chunked_flush_bit_identical(
-        self, sb_dataset, sb_predictor, monkeypatch
-    ):
-        """A tiny cell cap forces many chunks; results must not change."""
-        calls = []
-        orig = engine_mod.DataCenterSimulation._account_superbatch
-
-        def spy(self, tasks):
-            calls.append(len(tasks))
-            return orig(self, tasks)
-
-        monkeypatch.setattr(
-            engine_mod.DataCenterSimulation, "_account_superbatch", spy
-        )
-        # A few padded slots per chunk at the ~10-15 servers the
-        # packed fleet actually uses.
-        monkeypatch.setattr(engine_mod, "_SUPERBATCH_MAX_CELLS", 500)
-        sup = _run_fixed(sb_dataset, sb_predictor, EpactPolicy())
-        assert len(calls) > 5  # the horizon really was split
-        assert sum(calls) == 48  # every 1-slot window accounted once
-        ref = _run_fixed(
-            sb_dataset, sb_predictor, EpactPolicy(), window_batch=False
-        )
-        assert records_equal(sup.records, ref.records)
-
 
 class TestSuperbatchCloud:
     def _compare(self, dataset, predictor, schedule, policy_factory):
         runs = {}
         for mode, kw in (
-            ("super", dict()),
-            ("window", dict(superbatch=False)),
+            ("kernel", dict()),
             ("slot", dict(window_batch=False)),
         ):
             runs[mode] = CloudSimulation(
@@ -164,11 +132,8 @@ class TestSuperbatchCloud:
                 max_servers=45,
                 **kw,
             ).run()
-        assert records_equal(
-            runs["super"].records, runs["window"].records
-        )
-        assert records_equal(runs["super"].records, runs["slot"].records)
-        return runs["super"]
+        assert records_equal(runs["kernel"].records, runs["slot"].records)
+        return runs["kernel"]
 
     def test_changes_exactly_on_allocation_boundaries(
         self, sb_dataset, sb_predictor
@@ -222,8 +187,8 @@ class TestSuperbatchCloud:
         self._compare(sb_dataset, sb_predictor, schedule, EpactPolicy)
 
     def test_empty_windows_interleaved(self, sb_dataset, sb_predictor):
-        """An empty-cloud gap mid-horizon: direct records and deferred
-        super-batch records must stitch back in horizon order."""
+        """An empty-cloud gap mid-horizon: empty-window records and
+        accounted records interleave in horizon order."""
         n = sb_dataset.n_vms
         arrival = np.zeros(n, dtype=int)
         departure = np.full(n, 192, dtype=int)

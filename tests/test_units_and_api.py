@@ -1,5 +1,9 @@
 """Tests for unit helpers, error hierarchy and the public API surface."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 import repro
@@ -94,3 +98,35 @@ class TestPublicApi:
         assert main(["table1"]) == 0
         out = capsys.readouterr().out
         assert "Table I" in out
+
+    def test_serve_subpackage_not_shadowed(self):
+        """``repro.serve`` stays the subpackage, so dotted imports of its
+        modules resolve; the loop function lives at ``repro.serve.serve``."""
+        import repro.serve.service as m
+
+        assert m.ServeConfig is repro.ServeConfig
+        assert repro.serve.serve is m.serve
+
+    def test_runner_module_runs_without_runtime_warning(self):
+        """``python -m repro.experiments.runner`` must not find the
+        module pre-imported by its package (a RuntimeWarning)."""
+        src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p
+        )
+        proc = subprocess.run(
+            [
+                sys.executable,
+                "-W",
+                "error::RuntimeWarning",
+                "-m",
+                "repro.experiments.runner",
+                "--help",
+            ],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
