@@ -76,9 +76,7 @@ Scenarios (deterministic seeds):
   :func:`repro.serve.serve` over a clean replay feed vs the batch
   engine on the true traces.  Asserted, not just recorded:
   ``energy_rel_diff`` must be exactly 0.0 (the decision stream is
-  observation, not perturbation), else the bench exits non-zero.  Also
-  records the incremental Hannan-Rissanen refresh vs the daily full
-  re-fit (``incremental_speedup``).
+  observation, not perturbation), else the bench exits non-zero.
 
 Each scenario records the fast time, reference time (where tractable)
 and their speedup into ``BENCH_<rev>.json``; ``--baseline`` prints the
@@ -678,20 +676,15 @@ def bench_telemetry(results):
 
 
 def bench_serve(results):
-    """Service loop: clean-replay identity, incremental-refresh speedup.
+    """Service loop: clean-replay identity.
 
     Drives the zero-churn 120-VM week through the ``repro-serve``
     operator loop (:func:`repro.serve.serve` draining ``windows()``
     over a clean replay feed) against the batch engine on the true
     traces — the decision stream must not change the answer, so the
     recorded ``energy_rel_diff`` is required to be exactly 0.0 and the
-    bench exits non-zero otherwise.  Also times the incremental
-    Hannan-Rissanen refresh (:class:`IncrementalDayAheadForecaster`,
-    ``refit_every_days=7``) against the daily full re-fit
-    (``refit_every_days=1``) over the forecastable days and records
-    the ``incremental_speedup``.
+    bench exits non-zero otherwise.
     """
-    from repro.serve import IncrementalDayAheadForecaster
     from repro.serve.service import ServeConfig, serve
 
     config = ServeConfig(
@@ -742,25 +735,6 @@ def bench_serve(results):
             "to the batch engine"
         )
         sys.exit(1)
-
-    def forecast_all(refit_every):
-        inc = IncrementalDayAheadForecaster(
-            dataset, refit_every_days=refit_every
-        )
-        for day in range(7, dataset.n_days):
-            inc.forecast_day(day)
-
-    inc_s, refit_s = best_of_pair(
-        lambda: forecast_all(7), lambda: forecast_all(1), 3
-    )
-    speedup = round(refit_s / inc_s, 2)
-    results["serve_replay_120"]["incremental_s"] = round(inc_s, 4)
-    results["serve_replay_120"]["daily_refit_s"] = round(refit_s, 4)
-    results["serve_replay_120"]["incremental_speedup"] = speedup
-    print(
-        f"    incremental refresh {inc_s:8.3f}s vs daily re-fit "
-        f"{refit_s:8.3f}s  ({speedup:.2f}x)"
-    )
 
 
 def bench_cloud(results):
@@ -985,7 +959,7 @@ def main():
     bench_cloud(results)
     print("telemetry layer (streaming overhead):")
     bench_telemetry(results)
-    print("service loop (serve replay + incremental forecasts):")
+    print("service loop (serve replay):")
     bench_serve(results)
     print("sharded allocation (5k VMs):")
     bench_sharded(results)

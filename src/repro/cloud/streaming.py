@@ -34,19 +34,20 @@ window boundary the complete run state — records so far, policy,
 previous placement, collector cursors, ingest buffers, ladder cache —
 is a picklable snapshot.  A run resumed from a snapshot is
 bit-identical to the uninterrupted run, because nothing downstream of
-the snapshot consults a clock or an unseeded RNG.
+the snapshot consults a clock or an unseeded RNG.  Each snapshot is
+stamped with :data:`SNAPSHOT_VERSION` and a fingerprint of the inputs
+that produced it (trace digest, horizon, policy, telemetry schedule);
+restoring it into a simulation with other inputs raises
+:class:`~repro.errors.ConfigurationError` instead of silently mixing
+two runs.
 
-Two service-mode extensions ride on the same loop:
-
-* **live collectors** — ``collectors=`` accepts any sequence of
-  :class:`~repro.serve.adapters.CollectorAdapter` implementations
-  (synthetic push, HTTP feed, ...) in place of the replay
-  ``telemetry=`` schedule; poll/timeout/retry semantics are unchanged.
-* **incremental forecasts** — ``incremental_forecasts=True`` swaps the
-  ladder's internal batch predictor for the
-  :class:`~repro.serve.incremental.IncrementalDayAheadForecaster`,
-  which refreshes the Hannan-Rissanen fit day-over-day instead of
-  re-fitting from scratch (full re-fit kept callable as the oracle).
+Service mode rides on the same loop: ``collectors=`` accepts any
+sequence of :class:`~repro.serve.adapters.CollectorAdapter`
+implementations (synthetic push, HTTP feed, ...) in place of the
+replay ``telemetry=`` schedule; poll/timeout/retry semantics are
+unchanged.  Either way the ladder's fresh rung is the daily
+:class:`~repro.forecast.DayAheadPredictor` re-fit the batch engines
+use, so there is one forecast path for batch and serve.
 
 The class specialises the engine's one window loop
 (:meth:`~repro.dcsim.engine.DataCenterSimulation._windows`) through its
@@ -70,7 +71,6 @@ import numpy as np
 from ..core.types import Allocation, AllocationPolicy, ServerPlan
 from ..errors import ConfigurationError
 from ..serve.adapters import CollectorAdapter, poll_with_retry
-from ..serve.incremental import IncrementalDayAheadForecaster
 from ..traces.dataset import TraceDataset
 from ..traces.lifecycle import LifecycleSchedule
 from ..units import SAMPLES_PER_SLOT, SLOTS_PER_DAY
@@ -84,6 +84,10 @@ from .telemetry import (
     TelemetryIngest,
     TraceCollector,
 )
+
+#: Snapshot layout version.  A snapshot without it, or with another
+#: one, is rejected on restore.
+SNAPSHOT_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -250,13 +254,6 @@ class StreamingCloudSimulation(CloudSimulation):
             retry/backoff loop the replay collectors use.  Mutually
             exclusive with ``telemetry`` (replay builds its own
             :class:`~repro.cloud.telemetry.TraceCollector` set).
-        incremental_forecasts: route the ladder's fresh rung through
-            the :class:`~repro.serve.incremental.IncrementalDayAheadForecaster`
-            (day-over-day Hannan-Rissanen refresh) instead of the full
-            daily re-fit.  Requires a telemetry stream (``telemetry=``
-            or ``collectors=``).
-        refit_every_days: incremental mode's epoch length — a full
-            oracle re-fit at least this often (see the forecaster).
         **kwargs: forwarded to the batch engine.
     """
 
@@ -280,8 +277,6 @@ class StreamingCloudSimulation(CloudSimulation):
         checkpoint_every_slots: Optional[int] = None,
         checkpoint_path: Optional[str] = None,
         collectors: Optional[Sequence[CollectorAdapter]] = None,
-        incremental_forecasts: bool = False,
-        refit_every_days: int = 7,
         **kwargs,
     ):
         super().__init__(dataset, predictor, policy, schedule, **kwargs)
@@ -311,13 +306,6 @@ class StreamingCloudSimulation(CloudSimulation):
                 "TraceCollector set, a live feed brings its own "
                 "adapters"
             )
-        if incremental_forecasts and telemetry is None and collectors is None:
-            raise ConfigurationError(
-                "incremental_forecasts requires a telemetry stream "
-                "(telemetry= or collectors=): without one the engine "
-                "plans from the caller's batch predictor, which has "
-                "nothing to update day-over-day"
-            )
         self._telemetry = telemetry
         self._blind_after = int(blind_after_slots)
         self._poll_retries = int(poll_retries)
@@ -330,6 +318,7 @@ class StreamingCloudSimulation(CloudSimulation):
         self.checkpoints: List[dict] = []
         self._resume_state: Optional[dict] = None
         self._next_ckpt = 0
+        self._fingerprint_cache: Optional[Dict[str, object]] = None
 
         self._collectors: List[CollectorAdapter] = []
         self._ingest: Optional[TelemetryIngest] = None
@@ -367,15 +356,6 @@ class StreamingCloudSimulation(CloudSimulation):
         self._ingest = TelemetryIngest(
             dataset, cold_start_util_pct=cold_start_util_pct
         )
-        ladder_predictor = None
-        if incremental_forecasts:
-            ladder_predictor = IncrementalDayAheadForecaster(
-                self._ingest.observed_dataset,
-                history_days=getattr(predictor, "history_days", 7),
-                factory=getattr(predictor, "_factory", None),
-                clip_range=getattr(predictor, "_clip", (0.0, 100.0)),
-                refit_every_days=refit_every_days,
-            )
         self._ladder = ForecastLadder(
             self._ingest,
             history_days=getattr(predictor, "history_days", 7),
@@ -383,7 +363,6 @@ class StreamingCloudSimulation(CloudSimulation):
             staleness_budget_slots=staleness_budget_slots,
             factory=getattr(predictor, "_factory", None),
             clip_range=getattr(predictor, "_clip", (0.0, 100.0)),
-            predictor=ladder_predictor,
         )
         self._ladder.tracer = self._tracer
         # The engine plans through the ladder from here on; the user's
@@ -505,6 +484,11 @@ class StreamingCloudSimulation(CloudSimulation):
     def restore(self, source) -> None:
         """Arm the next :meth:`run` to resume from a snapshot.
 
+        The snapshot is checked when the run starts: one of another
+        format version, or written by a run over other traces, horizon,
+        policy or telemetry schedule, raises
+        :class:`~repro.errors.ConfigurationError` naming what differs.
+
         Args:
             source: a snapshot dict (from :attr:`checkpoints`) or a
                 path to a pickled one (``checkpoint_path``).
@@ -514,6 +498,26 @@ class StreamingCloudSimulation(CloudSimulation):
                 source = pickle.load(fh)
         self._resume_state = source
 
+    def _fingerprint(self) -> Dict[str, object]:
+        """The inputs a snapshot is bound to.
+
+        Computed once, at the first snapshot or restore, so a run that
+        never checkpoints never hashes its traces.
+        """
+        if self._fingerprint_cache is None:
+            self._fingerprint_cache = {
+                "traces": self._dataset.digest(),
+                "start_slot": self._start_slot,
+                "n_slots": self._n_slots,
+                "policy": self._policy.name,
+                "telemetry": (
+                    None
+                    if self._telemetry is None
+                    else self._telemetry.digest()
+                ),
+            }
+        return self._fingerprint_cache
+
     def _snapshot(self, state: _LoopState) -> dict:
         stream = self._ingest is not None
 
@@ -521,6 +525,8 @@ class StreamingCloudSimulation(CloudSimulation):
             return None if arr is None else arr.copy()
 
         return {
+            "version": SNAPSHOT_VERSION,
+            "fingerprint": dict(self._fingerprint()),
             "next_slot": int(state.slot),
             "records": list(state.records),
             "prev_active": copied(state.prev_active),
@@ -542,15 +548,33 @@ class StreamingCloudSimulation(CloudSimulation):
         tmp = f"{self._ckpt_path}.tmp"
         with open(tmp, "wb") as fh:
             pickle.dump(state, fh)
+            fh.flush()
+            os.fsync(fh.fileno())
         os.replace(tmp, self._ckpt_path)
 
     def _apply_state(self, state: dict) -> None:
+        version = state.get("version")
+        if version != SNAPSHOT_VERSION:
+            raise ConfigurationError(
+                f"checkpoint has snapshot version {version!r}, this "
+                f"engine reads version {SNAPSHOT_VERSION}: it was written "
+                f"by an incompatible release and cannot be resumed"
+            )
         stream = self._ingest is not None
         if stream != (state["collectors"] is not None):
             raise ConfigurationError(
                 "checkpoint and simulation disagree about the telemetry "
                 "layer (one has it, the other does not)"
             )
+        ours = self._fingerprint()
+        theirs = state["fingerprint"]
+        for key, value in ours.items():
+            if theirs.get(key) != value:
+                raise ConfigurationError(
+                    f"checkpoint was written by a different run: "
+                    f"{key} differs (checkpoint {theirs.get(key)!r}, "
+                    f"this simulation {value!r})"
+                )
         self._policy = copy.deepcopy(state["policy"])
         self._ingested_until = int(state["ingested_until"])
         if stream:

@@ -51,6 +51,7 @@ suite asserts bit-identity against runs without the telemetry layer.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from hashlib import sha256
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -301,6 +302,24 @@ class TelemetryFaultSchedule:
     def collector_outages(self) -> Tuple[CollectorOutage, ...]:
         """Horizon-clamped ``(collector_id, start, end)`` windows."""
         return self._collector_outages
+
+    def digest(self) -> str:
+        """SHA-256 of the whole timeline: masks, delays and outages."""
+        h = sha256(
+            repr(
+                (
+                    self._n_vms,
+                    self._start,
+                    self._end,
+                    self._n_collectors,
+                    self._spike_pct,
+                    self._collector_outages,
+                )
+            ).encode()
+        )
+        for arr in (self._drop, self._nan, self._spike, self._delay):
+            h.update(np.ascontiguousarray(arr).data)
+        return h.hexdigest()
 
     def collector_of(self, vm_id: int) -> int:
         """The collector VM ``vm_id`` reports through."""
@@ -877,6 +896,11 @@ class ForecastLadder:
     must not retroactively change a forecast that was already used —
     that property is what makes checkpoint/resume bit-exact.
 
+    The fresh rung always re-fits a
+    :class:`~repro.forecast.DayAheadPredictor` over
+    ``ingest.observed_dataset`` — the same daily re-fit the batch
+    engines use — so a clean feed forecasts exactly what batch does.
+
     Args:
         ingest: the ingestion stage whose imputed buffers back the
             observed dataset.
@@ -892,14 +916,6 @@ class ForecastLadder:
             default); pass the batch predictor's factory so clean
             telemetry reproduces its forecasts bit-exactly.
         clip_range: forecast clip range of the internal predictor.
-        predictor: optional pre-built predictor over
-            ``ingest.observed_dataset`` — e.g. the incremental
-            :class:`repro.serve.incremental.IncrementalDayAheadForecaster`
-            — used instead of constructing a
-            :class:`~repro.forecast.DayAheadPredictor` (``history_days``
-            is then taken from it; ``factory`` / ``clip_range`` are
-            ignored).  If it exposes ``state()`` / ``restore()``, its
-            rolling state rides the ladder's checkpoint snapshots.
     """
 
     def __init__(
@@ -910,7 +926,6 @@ class ForecastLadder:
         staleness_budget_slots: int = 3 * SLOTS_PER_DAY,
         factory=None,
         clip_range: Tuple[float, float] = (0.0, 100.0),
-        predictor=None,
     ) -> None:
         if not 0.0 <= max_imputed_frac <= 1.0:
             raise ConfigurationError(
@@ -928,19 +943,13 @@ class ForecastLadder:
         self._ingest = ingest
         self._max_imputed = float(max_imputed_frac)
         self._budget = int(staleness_budget_slots)
-        if predictor is not None:
-            self._predictor = predictor
-            self._history_days = int(
-                getattr(predictor, "history_days", history_days)
-            )
-        else:
-            self._history_days = int(history_days)
-            self._predictor = DayAheadPredictor(
-                ingest.observed_dataset,
-                history_days=history_days,
-                factory=factory,
-                clip_range=clip_range,
-            )
+        self._history_days = int(history_days)
+        self._predictor = DayAheadPredictor(
+            ingest.observed_dataset,
+            history_days=history_days,
+            factory=factory,
+            clip_range=clip_range,
+        )
         # day -> (rung, cpu_day, mem_day); arrays are None on the
         # "no usable forecast" rung.
         self._days: Dict[int, Tuple[str, object, object]] = {}
@@ -981,20 +990,11 @@ class ForecastLadder:
     # -- checkpoint ----------------------------------------------------
 
     def state(self) -> Dict[str, object]:
-        """Snapshot of the day-decision cache.
-
-        When the predictor itself is stateful (the incremental
-        forecaster's rolling epoch), its snapshot rides along so a
-        resumed run refits exactly where the original would have.
-        """
-        state: Dict[str, object] = {
+        """Snapshot of the day-decision cache."""
+        return {
             "days": dict(self._days),
             "last_fresh_day": self._last_fresh_day,
         }
-        pred_state = getattr(self._predictor, "state", None)
-        if callable(pred_state):
-            state["predictor"] = pred_state()
-        return state
 
     def restore(self, state: Dict[str, object]) -> None:
         """Restore a :meth:`state` snapshot.
@@ -1005,8 +1005,3 @@ class ForecastLadder:
         """
         self._days = dict(state["days"])
         self._last_fresh_day = int(state["last_fresh_day"])
-        pred_state = state.get("predictor")
-        if pred_state is not None:
-            restore = getattr(self._predictor, "restore", None)
-            if callable(restore):
-                restore(pred_state)

@@ -129,9 +129,6 @@ class StreamingConfig(SimulationConfig):
         poll_retries / poll_backoff_s: collector retry policy.
         checkpoint_every_slots / checkpoint_path: snapshot cadence and
             persistence target.
-        incremental_forecasts: day-over-day Hannan-Rissanen refresh
-            instead of the full daily re-fit.
-        refit_every_days: incremental mode's oracle re-fit cadence.
     """
 
     telemetry: Optional[Any] = None
@@ -144,8 +141,6 @@ class StreamingConfig(SimulationConfig):
     poll_backoff_s: float = 0.0
     checkpoint_every_slots: Optional[int] = None
     checkpoint_path: Optional[str] = None
-    incremental_forecasts: bool = False
-    refit_every_days: int = 7
 
     def __post_init__(self) -> None:
         super().__post_init__()
@@ -191,20 +186,4 @@ class StreamingConfig(SimulationConfig):
                 "replay degradation schedule builds its own "
                 "TraceCollector set, a live feed brings its own "
                 "adapters"
-            )
-        if self.refit_every_days < 1:
-            raise ConfigurationError(
-                f"refit_every_days must be >= 1, got "
-                f"{self.refit_every_days}"
-            )
-        if (
-            self.incremental_forecasts
-            and self.telemetry is None
-            and self.collectors is None
-        ):
-            raise ConfigurationError(
-                "incremental_forecasts requires a telemetry stream "
-                "(telemetry= or collectors=): without one the engine "
-                "plans from the caller's batch predictor, which has "
-                "nothing to update day-over-day"
             )

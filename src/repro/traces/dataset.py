@@ -8,6 +8,7 @@ sample — plus slicing helpers aligned to the paper's slot/day time grid.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from hashlib import sha256
 from typing import List, Sequence, Tuple
 
 import numpy as np
@@ -69,6 +70,18 @@ class TraceDataset:
     def n_slots(self) -> int:
         """Whole 1-hour allocation slots covered by the traces."""
         return self.n_samples // SAMPLES_PER_SLOT
+
+    def digest(self) -> str:
+        """SHA-256 of the utilization matrices (shape, dtype, values)."""
+        header = (
+            self.cpu_pct.shape,
+            self.cpu_pct.dtype.str,
+            self.mem_pct.dtype.str,
+        )
+        h = sha256(repr(header).encode())
+        for arr in (self.cpu_pct, self.mem_pct):
+            h.update(np.ascontiguousarray(arr).data)
+        return h.hexdigest()
 
     # -- access ---------------------------------------------------------------
 

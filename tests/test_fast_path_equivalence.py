@@ -213,7 +213,7 @@ class TestCountMigrationsEquivalence:
         assert count_migrations(empty, empty) == 0
 
 
-class TestMigrationCounterEquivalence:
+class TestCountMigrationsOverSequence:
     """Engine-loop migration counting: the stateless matcher the window
     loop calls at every boundary agrees with the seed pair loop over a
     whole reallocation sequence."""

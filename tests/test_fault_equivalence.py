@@ -17,14 +17,12 @@ The acceptance bar of the robustness PR:
 
 import time
 
-import numpy as np
 import pytest
 
 from repro.baselines import OnlineReactivePolicy
 from repro.cloud import (
     CloudSimulation,
     fixed_schedule,
-    get_scenario,
     summarize,
 )
 from repro.cloud.faults import (
@@ -147,7 +145,7 @@ class TestTierEquivalenceUnderFaults:
     @pytest.mark.parametrize(
         "policy_cls", [EpactPolicy, OnlineReactivePolicy]
     )
-    def test_three_tiers_identical(self, ds, pred, schedule, policy_cls):
+    def test_kernel_matches_per_slot_oracle(self, ds, pred, schedule, policy_cls):
         sched = fixed_schedule(ds.n_vms, 168, 168 + 24)
         runs = []
         for tiers in (dict(window_batch=False), dict()):

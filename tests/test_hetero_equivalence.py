@@ -241,7 +241,7 @@ class TestSinglePoolBitIdentity:
 
 
 class TestHeteroAccountingOracles:
-    def test_superbatch_matches_both_oracles(
+    def test_kernel_matches_per_slot_oracle(
         self, het_dataset, het_predictor, two_pool_fleet
     ):
         """Per-(window, model) kernel accounting == per-slot oracle."""

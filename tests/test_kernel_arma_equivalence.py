@@ -53,7 +53,7 @@ def _run_fixed(dataset, predictor, policy, **kwargs):
     ).run()
 
 
-class TestSuperbatchFixedPopulation:
+class TestKernelFixedPopulation:
     def test_one_slot_windows_match_both_oracles(
         self, sb_dataset, sb_predictor
     ):
@@ -117,7 +117,7 @@ class TestSuperbatchFixedPopulation:
         assert sup.total_migrations == ref.total_migrations
 
 
-class TestSuperbatchCloud:
+class TestKernelCloud:
     def _compare(self, dataset, predictor, schedule, policy_factory):
         runs = {}
         for mode, kw in (

@@ -1,14 +1,12 @@
 """Service-mode equivalence suite (repro.serve).
 
-Four guarantees:
+Three guarantees:
 
-* the incremental Hannan-Rissanen refresh tracks the full re-fit
-  oracle within a documented tolerance (and is bit-identical at epoch
-  starts / with ``refit_every_days=1``);
 * a clean replay feed driven through the ``repro-serve`` loop is
   bit-identical to the batch :class:`~repro.dcsim.CloudSimulation`;
 * a run resumed from a mid-serve checkpoint equals the uninterrupted
-  run, incremental mode included;
+  run, and a checkpoint of another run (or of no known format) is
+  rejected;
 * every ``decision_*`` event the service emits validates against
   :data:`repro.obs.tracer.EVENT_SCHEMAS`.
 
@@ -31,30 +29,18 @@ from repro.cloud import (
 from repro.cloud.telemetry import TraceCollector
 from repro.core import EpactPolicy
 from repro.dcsim.config import StreamingConfig
-from repro.errors import (
-    CollectorTimeoutError,
-    ConfigurationError,
-    DomainError,
-)
+from repro.errors import CollectorTimeoutError, ConfigurationError
 from repro.forecast import DayAheadPredictor
 from repro.obs.tracer import RunTracer, validate_event
 from repro.serve import (
     HttpCollector,
-    IncrementalDayAheadForecaster,
     PushCollector,
     TelemetryFeedServer,
 )
 from repro.serve.service import ServeConfig, build_simulation, serve
 from repro.traces import default_dataset
 from repro.traces.lifecycle import fixed_schedule
-from repro.units import SAMPLES_PER_DAY, SAMPLES_PER_SLOT
-
-#: Documented tolerance of the incremental refresh vs the oracle, in
-#: absolute utilization points (traces live on a 0-100 scale).  The
-#: frozen long-AR filter is the only approximation; everything else is
-#: recomputed exactly each day.
-INCREMENTAL_TOL_PCT = 2.0
-
+from repro.units import SAMPLES_PER_SLOT
 
 def records_equal(a, b):
     """Exact (bitwise for floats) equality of two record lists."""
@@ -62,81 +48,8 @@ def records_equal(a, b):
 
 
 @pytest.fixture(scope="module")
-def ds():
-    return default_dataset(n_vms=30, n_days=14, seed=77)
-
-
-@pytest.fixture(scope="module")
 def serve_config(tmp_path_factory):
     return ServeConfig(n_vms=40, n_days=9, seed=2018, n_slots=24)
-
-
-# -- incremental forecaster vs the oracle -----------------------------------
-
-
-class TestIncrementalForecaster:
-    def test_epoch_start_matches_batch_predictor(self, ds):
-        """A full-re-fit day is bit-identical to DayAheadPredictor."""
-        inc = IncrementalDayAheadForecaster(ds)
-        batch = DayAheadPredictor(ds)
-        cpu_i, mem_i = inc.forecast_day(7)
-        cpu_b, mem_b = batch.forecast_day(7)
-        np.testing.assert_array_equal(cpu_i, cpu_b)
-        np.testing.assert_array_equal(mem_i, mem_b)
-        assert inc.full_fit_count == 1 and inc.incremental_count == 0
-
-    def test_incremental_tracks_oracle(self, ds):
-        """Every epoch day stays within the documented tolerance."""
-        inc = IncrementalDayAheadForecaster(ds, refit_every_days=7)
-        worst = 0.0
-        for day in range(7, ds.n_days):
-            cpu_i, mem_i = inc.forecast_day(day)
-            cpu_o, mem_o = inc.oracle_forecast_day(day)
-            worst = max(
-                worst,
-                float(np.abs(cpu_i - cpu_o).max()),
-                float(np.abs(mem_i - mem_o).max()),
-            )
-        assert inc.incremental_count == ds.n_days - 8
-        assert worst < INCREMENTAL_TOL_PCT
-
-    def test_refit_every_1_is_the_oracle(self, ds):
-        """refit_every_days=1 degenerates to the daily full re-fit."""
-        inc = IncrementalDayAheadForecaster(ds, refit_every_days=1)
-        batch = DayAheadPredictor(ds)
-        for day in (7, 8, 9):
-            cpu_i, mem_i = inc.forecast_day(day)
-            cpu_b, mem_b = batch.forecast_day(day)
-            np.testing.assert_array_equal(cpu_i, cpu_b)
-            np.testing.assert_array_equal(mem_i, mem_b)
-        assert inc.incremental_count == 0
-
-    def test_non_consecutive_day_refits(self, ds):
-        inc = IncrementalDayAheadForecaster(ds)
-        inc.forecast_day(7)
-        inc.forecast_day(9)  # skipped day 8 -> new epoch
-        assert inc.full_fit_count == 2
-
-    def test_state_restore_round_trip(self, ds):
-        """A restored forecaster continues the epoch bit-identically."""
-        inc = IncrementalDayAheadForecaster(ds)
-        inc.forecast_day(7)
-        snapshot = inc.state()
-        expected = inc.forecast_day(8)
-        other = IncrementalDayAheadForecaster(ds)
-        other.restore(snapshot)
-        got = other.forecast_day(8)
-        np.testing.assert_array_equal(got[0], expected[0])
-        np.testing.assert_array_equal(got[1], expected[1])
-        assert other.incremental_count == 1
-
-    def test_validation(self, ds):
-        with pytest.raises(DomainError, match="history_days"):
-            IncrementalDayAheadForecaster(ds, history_days=1)
-        with pytest.raises(ConfigurationError, match="refit_every_days"):
-            IncrementalDayAheadForecaster(ds, refit_every_days=0)
-        with pytest.raises(DomainError, match="training window"):
-            IncrementalDayAheadForecaster(ds).forecast_day(3)
 
 
 # -- collector adapters -----------------------------------------------------
@@ -246,27 +159,12 @@ class TestServeReplayEquivalence:
         live = serve(serve_config, collectors=[push])
         assert records_equal(live.records, replay.records)
 
-    def test_incremental_serve_runs_and_stays_close(self, serve_config):
-        config = serve_config.__class__(
-            **{
-                **serve_config.__dict__,
-                "incremental_forecasts": True,
-            }
-        )
-        incremental = serve(config)
-        exact = serve(serve_config)
-        assert len(incremental.records) == len(exact.records)
-        e_inc = sum(r.energy_j for r in incremental.records)
-        e_exact = sum(r.energy_j for r in exact.records)
-        assert abs(e_inc - e_exact) / e_exact < 0.05
-
     def test_checkpoint_resume_equals_uninterrupted(self, tmp_path):
         path = os.fspath(tmp_path / "serve.ckpt")
         config = ServeConfig(
             n_vms=24,
             n_days=9,
             n_slots=24,
-            incremental_forecasts=True,
             checkpoint_every_slots=8,
             checkpoint_path=path,
         )
@@ -283,6 +181,43 @@ class TestServeReplayEquivalence:
     def test_resume_without_checkpoint_path_fails(self, serve_config):
         with pytest.raises(ConfigurationError, match="resume"):
             serve(serve_config, resume=True)
+
+
+# -- checkpoints are bound to the run that wrote them ----------------------
+
+
+class TestCheckpointBinding:
+    @staticmethod
+    def _config(tmp_path, seed):
+        return ServeConfig(
+            n_vms=16,
+            n_days=9,
+            n_slots=8,
+            seed=seed,
+            checkpoint_every_slots=4,
+            checkpoint_path=os.fspath(tmp_path / "serve.ckpt"),
+        )
+
+    def test_other_seed_rejected(self, tmp_path):
+        """A seed-1 checkpoint does not resume a seed-2 run."""
+        serve(self._config(tmp_path, seed=1))
+        with pytest.raises(ConfigurationError, match="traces"):
+            serve(self._config(tmp_path, seed=2), resume=True)
+
+    def test_unversioned_snapshot_rejected(self, tmp_path):
+        """An unversioned snapshot (one from before the format was
+        stamped, e.g. carrying forecaster state in its ladder entry)
+        is refused rather than resumed."""
+        sim = build_simulation(self._config(tmp_path, seed=1))
+        sim.run()
+        legacy = dict(sim.checkpoints[0])
+        legacy.pop("version", None)
+        legacy.pop("fingerprint", None)
+        legacy["ladder"] = dict(legacy["ladder"], predictor={})
+        fresh = build_simulation(self._config(tmp_path, seed=1))
+        fresh.restore(legacy)
+        with pytest.raises(ConfigurationError, match="version"):
+            fresh.run()
 
 
 # -- decision events --------------------------------------------------------
@@ -351,12 +286,6 @@ class TestStreamingConfig:
             StreamingConfig(blind_after_slots=0)
         with pytest.raises(ConfigurationError, match="mutually exclusive"):
             StreamingConfig(telemetry=object(), collectors=[object()])
-        with pytest.raises(
-            ConfigurationError, match="incremental_forecasts"
-        ):
-            StreamingConfig(incremental_forecasts=True)
-        with pytest.raises(ConfigurationError, match="refit_every_days"):
-            StreamingConfig(refit_every_days=0)
         with pytest.raises(ConfigurationError, match="staleness"):
             StreamingConfig(staleness_budget_slots=3)
 
@@ -365,30 +294,12 @@ class TestStreamingConfig:
             ServeConfig(policy="nope")
         with pytest.raises(ConfigurationError, match="n_days"):
             ServeConfig(n_days=1)
-        with pytest.raises(ConfigurationError, match="refit_every_days"):
-            ServeConfig(refit_every_days=0)
 
 
 # -- engine-level validation ------------------------------------------------
 
 
 class TestStreamingEngineValidation:
-    def test_incremental_without_stream_rejected(self):
-        dataset = default_dataset(n_vms=10, n_days=9, seed=5)
-        schedule = fixed_schedule(dataset.n_vms, 0, dataset.n_slots)
-        with pytest.raises(
-            ConfigurationError, match="incremental_forecasts"
-        ):
-            StreamingCloudSimulation(
-                dataset,
-                DayAheadPredictor(dataset),
-                EpactPolicy(),
-                schedule,
-                incremental_forecasts=True,
-                max_servers=8,
-                n_slots=4,
-            )
-
     def test_telemetry_and_collectors_rejected(self):
         dataset = default_dataset(n_vms=10, n_days=9, seed=5)
         schedule = fixed_schedule(dataset.n_vms, 0, dataset.n_slots)
@@ -404,12 +315,3 @@ class TestStreamingEngineValidation:
                 n_slots=4,
             )
 
-
-# -- verify the forecast day shape contract ---------------------------------
-
-
-def test_forecast_day_shape(ds):
-    inc = IncrementalDayAheadForecaster(ds)
-    cpu, mem = inc.forecast_day(7)
-    assert cpu.shape == (ds.n_vms, SAMPLES_PER_DAY)
-    assert mem.shape == (ds.n_vms, SAMPLES_PER_DAY)
